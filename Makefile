@@ -62,7 +62,7 @@ bench-parallel:
 # cost. CI runs this on every push.
 bench-smoke:
 	$(GO) test . -run '^$$' -bench 'AnnotateCorpusSerial|CRFDecode|Tokenizer|POSTagger' -benchtime 1x
-	$(GO) test ./internal/ner ./internal/crf ./internal/postag ./internal/tokenize -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/ner ./internal/crf ./internal/postag ./internal/tokenize ./internal/similarity -run '^$$' -bench . -benchtime 1x
 
 # Compare HEAD's hot-path throughput against a saved baseline.
 #   make bench-baseline   # record the current numbers

@@ -122,6 +122,9 @@ var deterministicPkgs = map[string]bool{
 	// The rules tier must answer identically on every replica: it is
 	// the thing the fleet degrades to in unison.
 	"rules": true,
+	// The sharded query service's byte identity rests on similarity
+	// scores agreeing to the last ulp across shard counts.
+	"similarity": true,
 }
 
 // durablePkgs are the packages that persist durable artifacts and so

@@ -131,19 +131,3 @@ func TestWeightedScorePrefersRareOverlap(t *testing.T) {
 		t.Fatal("fixture should be Jaccard-symmetric")
 	}
 }
-
-func TestMostSimilarWeighted(t *testing.T) {
-	corpus := []*core.RecipeModel{
-		model([]string{"salt"}, []string{"boil"}),
-		model([]string{"saffron"}, []string{"boil"}),
-	}
-	cw := LearnWeights(corpus)
-	q := model([]string{"saffron"}, []string{"boil"})
-	ranked := MostSimilarWeighted(q, corpus, cw, DefaultWeights)
-	if ranked[0].Index != 1 {
-		t.Fatalf("ranking = %+v", ranked)
-	}
-	if len(MostSimilarWeighted(q, nil, cw, DefaultWeights)) != 0 {
-		t.Fatal("empty candidates")
-	}
-}

@@ -11,8 +11,6 @@ package similarity
 import (
 	"container/heap"
 	"sort"
-
-	"recipemodel/internal/core"
 )
 
 // rankedBetter is the deterministic total order on results: higher
@@ -35,9 +33,8 @@ func (h *worstHeap) Push(x any)        { *h = append(*h, x.(Ranked)) }
 func (h *worstHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 // TopK selects the k best of results under the deterministic order
-// without fully sorting them — O(n log k) against the O(n²) insertion
-// sort of sortRanked — and returns them best-first. k <= 0 or
-// k >= len(results) degrades to a full ranking.
+// without fully sorting them — O(n log k) — and returns them
+// best-first. k <= 0 or k >= len(results) degrades to a full ranking.
 func TopK(results []Ranked, k int) []Ranked {
 	if k <= 0 || k >= len(results) {
 		out := append([]Ranked(nil), results...)
@@ -60,17 +57,6 @@ func TopK(results []Ranked, k int) []Ranked {
 		out[i] = heap.Pop(&h).(Ranked)
 	}
 	return out
-}
-
-// MostSimilarWeightedTopK scores every candidate against the query and
-// returns the k most similar, best-first — the per-shard form of
-// MostSimilarWeighted that never materializes a full ranking.
-func MostSimilarWeightedTopK(query *core.RecipeModel, candidates []*core.RecipeModel, cw *CorpusWeights, w Weights, k int) []Ranked {
-	scored := make([]Ranked, len(candidates))
-	for i, c := range candidates {
-		scored[i] = Ranked{Index: i, Score: WeightedScore(query, c, cw, w)}
-	}
-	return TopK(scored, k)
 }
 
 // MergeTopK folds independently ranked lists into the overall top k

@@ -321,7 +321,12 @@ func MostSimilar(query *RecipeModel, candidates []*RecipeModel) []RankedRecipe {
 // corpus: sharing a rare ingredient says more than sharing salt.
 type SimilarityCorpusWeights = similarity.CorpusWeights
 
-// LearnSimilarityWeights computes IDF weights over a mined corpus.
+// LearnSimilarityWeights computes IDF weights over a mined corpus and
+// precomputes each model's similarity facets, so WeightedSimilarity
+// between two of these models is cheap. The models must not be mutated
+// afterwards: their scores would keep using the facets learned here.
+// Other models can still be scored, at the cost of building their
+// facets on every call.
 func LearnSimilarityWeights(models []*RecipeModel) *SimilarityCorpusWeights {
 	return similarity.LearnWeights(models)
 }
