@@ -62,7 +62,7 @@ bench-parallel:
 # cost. CI runs this on every push.
 bench-smoke:
 	$(GO) test . -run '^$$' -bench 'AnnotateCorpusSerial|CRFDecode|Tokenizer|POSTagger' -benchtime 1x
-	$(GO) test ./internal/ner ./internal/crf ./internal/postag ./internal/tokenize ./internal/similarity -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/ner ./internal/crf ./internal/postag ./internal/tokenize ./internal/similarity ./internal/snapshot -run '^$$' -bench . -benchtime 1x
 
 # Compare HEAD's hot-path throughput against a saved baseline.
 #   make bench-baseline   # record the current numbers
@@ -136,7 +136,9 @@ tier-test:
 # shards mid-query (every response degraded yet byte-identical to the
 # serial oracle restricted to the survivors), reload a new snapshot
 # while a query is in flight (generation pinning: the in-flight answer
-# stays on the old version), and publish a torn snapshot (rejected
+# stays on the old version), reload an unchanged store while a query is
+# in flight (the new generation shares the old one's read state), and
+# publish a torn snapshot or corrupt the serving one in place (rejected
 # with the previous version still serving). Disruption timing is
 # fault-point driven — no sleeps.
 query-chaos-test:
@@ -145,14 +147,16 @@ query-chaos-test:
 
 # Short fuzz passes over the model-load boundary, the end-to-end
 # annotate path (arbitrary bytes through sanitizer, tagger, parser),
-# and the snapshot manifest/segment loader — enough to catch a
-# hardening regression in CI without a long budget.
+# the snapshot manifest/segment loader, and the snapshot segment
+# decoder with its warm-reuse path — enough to catch a hardening
+# regression in CI without a long budget.
 fuzz-smoke:
 	$(GO) test ./internal/persist -run '^$$' -fuzz 'FuzzLoadBundle' -fuzztime 15s
 	$(GO) test ./internal/persist -run '^$$' -fuzz 'FuzzLoadTagger' -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz 'FuzzAnnotateIngredient' -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz 'FuzzAnnotateInstruction' -fuzztime 15s
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz 'FuzzLoadSnapshot' -fuzztime 15s
+	$(GO) test ./internal/snapshot -run '^$$' -fuzz 'FuzzLoadSegment' -fuzztime 15s
 
 # Rules-tier vs CRF-tier score card (DESIGN §15/§16): per-tier entity
 # F1 and single-goroutine phrases/sec on the shared gold ingredient

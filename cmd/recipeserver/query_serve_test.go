@@ -38,7 +38,7 @@ func corpusModels(n int) []*core.RecipeModel {
 }
 
 // TestOpenCorpus: boot loads the newest good version; a torn CURRENT
-// version is logged and rolled past.
+// version is logged and rolled past; boot and reload share one store.
 func TestOpenCorpus(t *testing.T) {
 	dir := t.TempDir()
 	st, err := snapshot.OpenStore(dir)
@@ -75,6 +75,24 @@ func TestOpenCorpus(t *testing.T) {
 	// The strict loader keeps refusing the torn CURRENT version.
 	if _, err := loader(); err == nil {
 		t.Fatal("loader accepted the torn CURRENT version")
+	}
+	// Once CURRENT names the boot version again, the store is unchanged
+	// since boot: the loader reads it through the store that booted, so
+	// it hands back the boot snapshot's models, not fresh copies.
+	if err := st.SetCurrent("v000001"); err != nil {
+		t.Fatal(err)
+	}
+	again, err := loader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again.Models) != len(snap.Models) {
+		t.Fatalf("reload of the boot version: %d docs, want %d", len(again.Models), len(snap.Models))
+	}
+	for i := range snap.Models {
+		if again.Models[i] != snap.Models[i] {
+			t.Fatalf("doc %d: reload of an unchanged store returned a new model, not the boot snapshot's", i)
+		}
 	}
 }
 

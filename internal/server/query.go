@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -67,7 +68,9 @@ const defaultSimilarK = 10
 // corpusShard owns one interleaved slice of the snapshot: documents
 // whose global id ≡ id (mod stride), in ascending order, plus every
 // derived read structure for that slice. Shards are immutable after
-// build except for the health flag; a reload replaces them wholesale.
+// build except for the health flag; a reload replaces them wholesale,
+// though a reload over the same models shares models, ix and profiles
+// with the shard it replaces.
 type corpusShard struct {
 	id     int
 	stride int
@@ -142,6 +145,21 @@ func newCorpusState(snap *snapshot.Snapshot, nshards int) *corpusState {
 	return cs
 }
 
+// rebind returns a new generation serving snap, whose models must be
+// cs's models in order. It shares cs's corpus weights and each shard's
+// models, index and nutrition profiles, which are functions of exactly
+// those models, and gives every shard a fresh health flag and failure
+// count, as a rebuild would.
+func (cs *corpusState) rebind(snap *snapshot.Snapshot) *corpusState {
+	next := &corpusState{version: snap.Version, snap: snap, weights: cs.weights}
+	for _, sh := range cs.shards {
+		fresh := &corpusShard{id: sh.id, stride: sh.stride, models: sh.models, ix: sh.ix, profiles: sh.profiles}
+		fresh.healthy.Store(true)
+		next.shards = append(next.shards, fresh)
+	}
+	return next
+}
+
 // corpusState resolves the serving corpus once; nil when no snapshot
 // is loaded. Handlers hold the same state for their whole request, so
 // a hot-swap mid-query never mixes two snapshots in one answer.
@@ -173,8 +191,20 @@ func (s *Server) CorpusReloadEnabled() bool { return s.cfg.CorpusLoader != nil }
 // loader rejects — the previous corpus keeps serving and the error
 // describes the rejection. Reloads are serialized.
 func (s *Server) ReloadCorpus() (version string, err error) {
+	cs, err := s.reloadCorpus()
+	if err != nil {
+		return "", err
+	}
+	return cs.version, nil
+}
+
+// reloadCorpus is ReloadCorpus returning the generation it installed.
+// When the loaded models are pointer-identical, in order, to the
+// serving generation's, the new generation shares that generation's
+// derived read state (rebind); otherwise newCorpusState rebuilds it.
+func (s *Server) reloadCorpus() (*corpusState, error) {
 	if s.cfg.CorpusLoader == nil {
-		return "", errors.New("no corpus loader configured")
+		return nil, errors.New("no corpus loader configured")
 	}
 	s.corpusMu.Lock()
 	defer s.corpusMu.Unlock()
@@ -182,15 +212,21 @@ func (s *Server) ReloadCorpus() (version string, err error) {
 	snap, err := s.cfg.CorpusLoader()
 	if err != nil {
 		s.corpusRejected.Add(1)
-		return "", fmt.Errorf("load snapshot: %w", err)
+		return nil, fmt.Errorf("load snapshot: %w", err)
 	}
 	if snap == nil || len(snap.Models) == 0 {
 		s.corpusRejected.Add(1)
-		return "", errors.New("loader returned an empty snapshot")
+		return nil, errors.New("loader returned an empty snapshot")
 	}
-	s.corpus.Store(newCorpusState(snap, s.cfg.CorpusShards))
+	var cs *corpusState
+	if old := s.loadCorpus(); old != nil && slices.Equal(old.snap.Models, snap.Models) {
+		cs = old.rebind(snap)
+	} else {
+		cs = newCorpusState(snap, s.cfg.CorpusShards)
+	}
+	s.corpus.Store(cs)
 	s.corpusReloads.Add(1)
-	return snap.Version, nil
+	return cs, nil
 }
 
 func (s *Server) handleReloadCorpus(w http.ResponseWriter, r *http.Request) {
@@ -202,7 +238,9 @@ func (s *Server) handleReloadCorpus(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "corpus reload not configured (no snapshot store)")
 		return
 	}
-	version, err := s.ReloadCorpus()
+	// The body describes the generation this reload installed, even if
+	// another reload (a SIGHUP) has swapped in a newer one since.
+	cs, err := s.reloadCorpus()
 	if err != nil {
 		writeJSONStatus(w, http.StatusUnprocessableEntity, map[string]string{
 			"error":   "corpus reload rejected: " + err.Error(),
@@ -210,10 +248,9 @@ func (s *Server) handleReloadCorpus(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	cs := s.loadCorpus()
 	writeJSON(w, map[string]any{
 		"status":  "ok",
-		"version": version,
+		"version": cs.version,
 		"docs":    len(cs.snap.Models),
 		"shards":  len(cs.shards),
 	})

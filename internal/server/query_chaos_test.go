@@ -1,7 +1,7 @@
 // Chaos drills for the sharded query service (run by `make
 // query-chaos-test` under -race). Each drill injects a failure through
 // internal/faults — a killed shard, a reload racing an in-flight
-// query, a torn snapshot on disk — and checks the degraded answers
+// query, a torn or corrupted snapshot on disk — and checks the degraded answers
 // against a serial single-shard oracle: the surviving shards' results
 // must match, element for element, what a healthy one-shard server
 // would answer over only the surviving documents. No drill sleeps;
@@ -253,5 +253,144 @@ func TestQueryChaosTornSnapshot(t *testing.T) {
 	}
 	if snap.Version != "v000001" || len(rejected) != 1 || !strings.Contains(rejected[0].Error(), v2) {
 		t.Fatalf("LoadLatestGood: %q, rejected %v", snap.Version, rejected)
+	}
+
+	// The serving version itself is corrupted in place, after the store
+	// has loaded and remembered it. A reload must re-hash its bytes and
+	// refuse them, whatever the store remembers about that version.
+	if err := st.SetCurrent("v000001"); err != nil {
+		t.Fatal(err)
+	}
+	seg1 := filepath.Join(st.Dir(), "snapshots", "v000001", "seg-000000.jsonl")
+	data1, err := os.ReadFile(seg1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data1[len(data1)/2] ^= 0xff
+	if err := os.WriteFile(seg1, data1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w = httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/admin/reload/corpus", nil))
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("serving version corrupted in place: reload status %d: %s", w.Code, w.Body.String())
+	}
+	if msg := w.Body.String(); !strings.Contains(msg, filepath.Join("v000001", "seg-000000.jsonl")) || !strings.Contains(msg, "manifest expects sha256") {
+		t.Fatalf("rejection does not name the corrupted file: %s", msg)
+	}
+	env, code = chaosQuery(t, s, "/query/similar", `{"id": 0, "k": 3}`)
+	if code != http.StatusOK || env.Snapshot != "v000001" || env.Degraded {
+		t.Fatalf("old corpus not serving after in-place corruption: status %d, %+v", code, env)
+	}
+}
+
+// TestQueryChaosReloadUnchangedStore: an unchanged store is reloaded
+// while a query is parked inside a shard. The store hands back the
+// serving models, so the new generation shares the corpus weights and
+// per-shard indexes and profiles the parked query is still reading,
+// behind fresh shards: the shard the old generation lost serves again,
+// the parked query finishes on its own generation, and every endpoint
+// answers byte-identically to a server rebuilt over the same snapshot.
+func TestQueryChaosReloadUnchangedStore(t *testing.T) {
+	st, err := snapshot.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Backoff = resilience.Backoff{Sleep: func(time.Duration) {}}
+	if _, err := st.Build(queryCorpusModels(12)); err != nil {
+		t.Fatal(err)
+	}
+	boot, err := st.Load(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithConfig(fakePipe{}, nil, Config{
+		CorpusSnapshot: boot,
+		CorpusShards:   3,
+		CorpusLoader:   func() (*snapshot.Snapshot, error) { return st.Load(context.Background()) },
+	})
+
+	// Shard 2 of the boot generation dies.
+	disable := faults.Enable(FaultQueryShard, faults.Fault{Err: errors.New("injected shard kill"), Indices: []int{2}})
+	if env, _ := chaosQuery(t, s, "/query/search", `{"processes": ["fry"]}`); !env.Degraded {
+		t.Fatalf("shard kill did not degrade: %+v", env)
+	}
+	disable()
+	old := s.loadCorpus()
+
+	entered := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	disable = faults.Enable(FaultQueryShard, faults.Fault{
+		Indices: []int{0},
+		OnHit:   func(int) { entered <- struct{}{}; <-gate },
+	})
+	defer disable()
+	type answer struct {
+		env  envelope
+		code int
+	}
+	done := make(chan answer, 1)
+	go func() {
+		req := httptest.NewRequest(http.MethodPost, "/query/similar", strings.NewReader(`{"id": 1, "k": 4}`))
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		var env envelope
+		if w.Code == http.StatusOK {
+			_ = json.Unmarshal(w.Body.Bytes(), &env)
+		}
+		done <- answer{env, w.Code}
+	}()
+
+	<-entered // the query is inside shard 0 of the boot generation
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/admin/reload/corpus", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("reload of an unchanged store: status %d: %s", w.Code, w.Body.String())
+	}
+	var resp map[string]any
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp["version"] != "v000001" || resp["docs"] != float64(12) || resp["shards"] != float64(3) {
+		t.Fatalf("reload response %+v", resp)
+	}
+	cur := s.loadCorpus()
+	if cur == old || cur.weights != old.weights || len(cur.shards) != len(old.shards) {
+		t.Fatal("reload of an unchanged store did not share the serving corpus weights")
+	}
+	for i, sh := range cur.shards {
+		o := old.shards[i]
+		if sh == o || sh.ix != o.ix || &sh.profiles[0] != &o.profiles[0] || &sh.models[0] != &o.models[0] {
+			t.Fatalf("shard %d: derived read state not shared behind a fresh shard", i)
+		}
+		if !sh.healthy.Load() || sh.failures.Load() != 0 {
+			t.Fatalf("shard %d: new generation did not start healthy", i)
+		}
+	}
+
+	close(gate)
+	ans := <-done
+	disable()
+	if ans.code != http.StatusOK {
+		t.Fatalf("in-flight query: status %d", ans.code)
+	}
+	if ans.env.Snapshot != "v000001" || !ans.env.Degraded || !reflect.DeepEqual(ans.env.FailedShards, []int{2}) {
+		t.Fatalf("in-flight query not pinned to its generation: %+v", ans.env)
+	}
+
+	oracle := NewWithConfig(fakePipe{}, nil, Config{CorpusSnapshot: cur.snap, CorpusShards: 3})
+	for path, body := range map[string]string{
+		"/query/similar":   `{"id": 1, "k": 4}`,
+		"/query/search":    `{"processes": ["fry"]}`,
+		"/query/nutrition": `{"ids": [0, 2, 5, 11]}`,
+	} {
+		got := do(t, s, http.MethodPost, path, body).Body
+		want := do(t, oracle, http.MethodPost, path, body).Body.String()
+		if got.String() != want {
+			t.Fatalf("%s after reload:\n  got  %s\n  want %s", path, got, want)
+		}
+		if env := decodeEnvelope(t, got); env.Degraded || env.ShardsServed != 3 {
+			t.Fatalf("%s after reload: %+v", path, env)
+		}
 	}
 }

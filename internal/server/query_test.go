@@ -431,24 +431,49 @@ func TestQueryShardBudget(t *testing.T) {
 }
 
 // TestReloadCorpusRestoresShardHealth: a snapshot reload rebuilds the
-// shards, clearing unhealthy marks.
+// shards, clearing unhealthy marks. The second reload hands back the
+// serving models under a new version, as an unchanged snapshot store
+// does: the shards are rebound to the serving read state instead of
+// rebuilt, and must answer exactly as a rebuild would.
 func TestReloadCorpusRestoresShardHealth(t *testing.T) {
+	v2 := querySnapshot("v000002", 8)
+	v3 := &snapshot.Snapshot{Version: "v000003", Models: v2.Models}
+	var next *snapshot.Snapshot
 	s := NewWithConfig(fakePipe{}, nil, Config{
 		CorpusSnapshot: querySnapshot("v000001", 8),
 		CorpusShards:   4,
-		CorpusLoader:   func() (*snapshot.Snapshot, error) { return querySnapshot("v000002", 8), nil },
+		CorpusLoader:   func() (*snapshot.Snapshot, error) { return next, nil },
 	})
-	disable := faults.Enable(FaultQueryShard, faults.Fault{Err: errors.New("injected"), Indices: []int{0}})
-	env := decodeEnvelope(t, do(t, s, http.MethodPost, "/query/search", `{"cuisine": "thai"}`).Body)
-	disable()
-	if !env.Degraded {
-		t.Fatalf("fault did not degrade: %+v", env)
+	queries := map[string]string{
+		"/query/similar":   `{"id": 3, "k": 5}`,
+		"/query/search":    `{"cuisine": "thai"}`,
+		"/query/nutrition": `{"ids": [0, 1, 2, 7]}`,
 	}
-	if w := do(t, s, http.MethodPost, "/admin/reload/corpus", ""); w.Code != http.StatusOK {
-		t.Fatalf("reload status %d", w.Code)
-	}
-	env = decodeEnvelope(t, do(t, s, http.MethodPost, "/query/search", `{"cuisine": "thai"}`).Body)
-	if env.Degraded || env.ShardsServed != 4 || env.Snapshot != "v000002" {
-		t.Fatalf("post-reload envelope %+v", env)
+	for _, snap := range []*snapshot.Snapshot{v2, v3} {
+		next = snap
+		disable := faults.Enable(FaultQueryShard, faults.Fault{Err: errors.New("injected"), Indices: []int{0}})
+		env := decodeEnvelope(t, do(t, s, http.MethodPost, "/query/search", `{"cuisine": "thai"}`).Body)
+		disable()
+		if !env.Degraded {
+			t.Fatalf("fault did not degrade: %+v", env)
+		}
+		before := s.loadCorpus()
+		if w := do(t, s, http.MethodPost, "/admin/reload/corpus", ""); w.Code != http.StatusOK {
+			t.Fatalf("reload status %d", w.Code)
+		}
+		if shared := s.loadCorpus().weights == before.weights; shared != (snap == v3) {
+			t.Fatalf("reload to %s shared the serving read state: %v", snap.Version, shared)
+		}
+		env = decodeEnvelope(t, do(t, s, http.MethodPost, "/query/search", `{"cuisine": "thai"}`).Body)
+		if env.Degraded || env.ShardsServed != 4 || env.Snapshot != snap.Version {
+			t.Fatalf("post-reload envelope %+v", env)
+		}
+		oracle := NewWithConfig(fakePipe{}, nil, Config{CorpusSnapshot: snap, CorpusShards: 4})
+		for path, body := range queries {
+			got := do(t, s, http.MethodPost, path, body).Body.String()
+			if want := do(t, oracle, http.MethodPost, path, body).Body.String(); got != want {
+				t.Fatalf("%s after reload to %s:\n  got  %s\n  want %s", path, snap.Version, got, want)
+			}
+		}
 	}
 }

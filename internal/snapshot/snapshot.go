@@ -41,6 +41,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
 	"recipemodel/internal/checkpoint"
 	"recipemodel/internal/core"
@@ -67,18 +68,42 @@ const segRecords = 2048
 // of the truth — global doc ids are positions, and the query service's
 // shard assignment (id mod shards) is derived from them, so any shard
 // count serves the same ids.
+//
+// The Models slice is the snapshot's own, but the models it points to
+// are shared: the next load through the same Store hands out the same
+// pointers for every segment whose bytes did not change. Snapshot
+// models are therefore read-only; nothing may mutate them.
 type Snapshot struct {
 	Version string
 	Models  []*core.RecipeModel
 }
 
-// Store is a versioned, crash-safe corpus snapshot directory.
+// Store is a versioned, crash-safe corpus snapshot directory. It
+// remembers, per segment position, the verified digest and decoded
+// records of its newest successful load, and a later load reuses those
+// records at every position whose bytes still hash to the same digest.
+// Models are thus shared between consecutive loads of one Store (and
+// with whoever still holds the earlier snapshot), which is safe only
+// because snapshot models are never mutated. A Store keeps its newest
+// load's models alive until its next successful load.
 type Store struct {
 	dir string
 	// Backoff paces the per-version load retries; the zero value uses
 	// the resilience defaults (3 attempts, 10ms base). Tests install a
 	// no-op Sleep to keep retry drills clock-free.
 	Backoff resilience.Backoff
+
+	// mu guards memo, and is held only to read or swap the slice. A
+	// published memo slice is never modified in place.
+	mu   sync.Mutex
+	memo []segmentMemo
+}
+
+// segmentMemo is what the newest successful load verified and decoded
+// at one segment position.
+type segmentMemo struct {
+	sha256  string
+	records []*core.RecipeModel
 }
 
 // OpenStore opens (creating if necessary) a snapshot store rooted at
@@ -242,6 +267,12 @@ func (s *Store) Build(models []*core.RecipeModel) (version string, err error) {
 // every segment's size and sha256 are checked against it, and only
 // then are the records decoded. Every error names the offending file;
 // checksum failures carry both the expected and the found digest.
+//
+// Every check runs on every segment on every call. Only a segment that
+// has passed them, and whose digest equals the one the store's newest
+// successful load verified at the same position, skips the decode: its
+// remembered records are reused. The memo is replaced only when the
+// whole version loads.
 func (s *Store) LoadVersion(version string) (*Snapshot, error) {
 	if err := faults.Inject(FaultLoad); err != nil {
 		return nil, fmt.Errorf("snapshot: load %s: %w", version, err)
@@ -261,8 +292,12 @@ func (s *Store) LoadVersion(version string) (*Snapshot, error) {
 	if man.Docs <= 0 {
 		return nil, fmt.Errorf("snapshot: %s: implausible doc count %d", manPath, man.Docs)
 	}
+	s.mu.Lock()
+	prev := s.memo
+	s.mu.Unlock()
+	memo := make([]segmentMemo, 0, len(man.Segments))
 	snap := &Snapshot{Version: version}
-	for _, seg := range man.Segments {
+	for i, seg := range man.Segments {
 		// Segment names come from a file an attacker or a corruption may
 		// have rewritten; confine them to the version directory.
 		if seg.Name != filepath.Base(seg.Name) || seg.Name == "." || seg.Name == ".." {
@@ -277,21 +312,30 @@ func (s *Store) LoadVersion(version string) (*Snapshot, error) {
 			return nil, fmt.Errorf("snapshot: %s: size %d bytes, manifest expects %d", segPath, len(data), seg.Size)
 		}
 		sum := sha256.Sum256(data)
-		if got := hex.EncodeToString(sum[:]); got != seg.SHA256 {
+		got := hex.EncodeToString(sum[:])
+		if got != seg.SHA256 {
 			return nil, fmt.Errorf("snapshot: %s: checksum mismatch: manifest expects sha256 %s, file has %s", segPath, seg.SHA256, got)
 		}
-		records, err := decodeSegment(data)
-		if err != nil {
+		// Reuse is keyed by position as well as digest, so two
+		// byte-identical segments of one snapshot never share models.
+		var records []*core.RecipeModel
+		if i < len(prev) && prev[i].sha256 == got {
+			records = prev[i].records
+		} else if records, err = decodeSegment(data); err != nil {
 			return nil, fmt.Errorf("snapshot: %s: %w", segPath, err)
 		}
 		if len(records) != seg.Records {
 			return nil, fmt.Errorf("snapshot: %s: holds %d records, manifest expects %d", segPath, len(records), seg.Records)
 		}
+		memo = append(memo, segmentMemo{sha256: got, records: records})
 		snap.Models = append(snap.Models, records...)
 	}
 	if len(snap.Models) != man.Docs {
 		return nil, fmt.Errorf("snapshot: %s: segments hold %d docs, manifest expects %d", manPath, len(snap.Models), man.Docs)
 	}
+	s.mu.Lock()
+	s.memo = memo
+	s.mu.Unlock()
 	return snap, nil
 }
 
@@ -327,7 +371,9 @@ func (s *Store) loadVersionRetry(ctx context.Context, version string) (*Snapshot
 }
 
 // Load opens the CURRENT version, verifying integrity before decode
-// and retrying transient failures per the store's backoff.
+// and retrying transient failures per the store's backoff. The
+// returned models may be shared with this store's previous and next
+// loads (see Store); callers must treat them as read-only.
 func (s *Store) Load(ctx context.Context) (*Snapshot, error) {
 	version, err := s.Current()
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -131,50 +132,165 @@ func TestVersionsSequence(t *testing.T) {
 }
 
 // TestLoadRejectsCorruptSegment pins the integrity error contract: a
-// flipped byte is a named-file error carrying both digests.
+// flipped byte is a named-file error carrying both digests. The warm
+// case flips a segment the same store has already loaded, so the
+// segment's records sit in the store's memo: the reload must still
+// re-hash the bytes and refuse them.
 func TestLoadRejectsCorruptSegment(t *testing.T) {
-	st, _ := OpenStore(t.TempDir())
-	noSleep(st)
-	v, err := st.Build(testModels(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	segPath := filepath.Join(st.versionDir(v), "seg-000000.jsonl")
-	data, err := os.ReadFile(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(segPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, lerr := st.Load(context.Background())
-	if lerr == nil {
-		t.Fatal("corrupt segment loaded without error")
-	}
-	msg := lerr.Error()
-	if !strings.Contains(msg, "seg-000000.jsonl") {
-		t.Fatalf("error does not name the file: %v", lerr)
-	}
-	if !strings.Contains(msg, "manifest expects sha256") {
-		t.Fatalf("error does not carry expected-vs-found digests: %v", lerr)
+	for _, warm := range []bool{false, true} {
+		st, _ := OpenStore(t.TempDir())
+		noSleep(st)
+		v, err := st.Build(testModels(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm {
+			if _, err := st.Load(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		segPath := filepath.Join(st.versionDir(v), "seg-000000.jsonl")
+		data, err := os.ReadFile(segPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0xff
+		if err := os.WriteFile(segPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, lerr := st.Load(context.Background())
+		if lerr == nil {
+			t.Fatalf("warm=%v: corrupt segment loaded without error", warm)
+		}
+		msg := lerr.Error()
+		if !strings.Contains(msg, "seg-000000.jsonl") {
+			t.Fatalf("warm=%v: error does not name the file: %v", warm, lerr)
+		}
+		if !strings.Contains(msg, "manifest expects sha256") {
+			t.Fatalf("warm=%v: error does not carry expected-vs-found digests: %v", warm, lerr)
+		}
 	}
 }
 
 // TestLoadRejectsTornSegment: a truncated (torn-write) segment is a
-// size mismatch naming the file.
+// size mismatch naming the file, whether or not the store has loaded
+// the intact segment before.
 func TestLoadRejectsTornSegment(t *testing.T) {
-	st, _ := OpenStore(t.TempDir())
-	noSleep(st)
-	v, _ := st.Build(testModels(5))
-	segPath := filepath.Join(st.versionDir(v), "seg-000000.jsonl")
-	data, _ := os.ReadFile(segPath)
-	if err := os.WriteFile(segPath, data[:len(data)/2], 0o644); err != nil {
+	for _, warm := range []bool{false, true} {
+		st, _ := OpenStore(t.TempDir())
+		noSleep(st)
+		v, _ := st.Build(testModels(5))
+		if warm {
+			if _, err := st.Load(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		segPath := filepath.Join(st.versionDir(v), "seg-000000.jsonl")
+		data, _ := os.ReadFile(segPath)
+		if err := os.WriteFile(segPath, data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, lerr := st.Load(context.Background())
+		if lerr == nil || !strings.Contains(lerr.Error(), "seg-000000.jsonl") || !strings.Contains(lerr.Error(), "manifest expects") {
+			t.Fatalf("warm=%v: torn segment: err = %v", warm, lerr)
+		}
+	}
+}
+
+// loadCold loads the CURRENT version of the store at dir through a
+// fresh Store, whose empty memo forces every segment to be decoded.
+func loadCold(t *testing.T, dir string) *Snapshot {
+	t.Helper()
+	st, err := OpenStore(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, lerr := st.Load(context.Background())
-	if lerr == nil || !strings.Contains(lerr.Error(), "manifest expects") {
-		t.Fatalf("torn segment: err = %v", lerr)
+	snap, err := st.Load(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestWarmLoadEqualsCold: a load that reuses remembered segments
+// returns exactly what a fresh store decodes, and reuses models at
+// exactly the segment positions whose bytes are unchanged.
+func TestWarmLoadEqualsCold(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noSleep(st)
+	changedDoc := testModels(2*segRecords + 5)
+	changedDoc[7].Title = "a changed title"
+	steps := []struct {
+		name   string
+		models []*core.RecipeModel
+		// reused[p] says whether segment position p keeps the previous
+		// load's models.
+		reused []bool
+	}{
+		{"first load", testModels(segRecords + 3), []bool{false, false}},
+		{"same version", nil, []bool{true, true}},
+		{"append-only republish", testModels(2*segRecords + 5), []bool{true, false, false}},
+		{"doc changed in segment 0", changedDoc, []bool{false, true, true}},
+	}
+	var prev *Snapshot
+	for _, step := range steps {
+		if step.models != nil {
+			if _, err := st.Build(step.models); err != nil {
+				t.Fatal(err)
+			}
+		}
+		warm, err := st.Load(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if cold := loadCold(t, dir); !reflect.DeepEqual(warm, cold) {
+			t.Fatalf("%s: warm load differs from a cold load", step.name)
+		}
+		if segs := (len(warm.Models) + segRecords - 1) / segRecords; segs != len(step.reused) {
+			t.Fatalf("%s: %d docs fill %d segments, want %d", step.name, len(warm.Models), segs, len(step.reused))
+		}
+		for i, m := range warm.Models {
+			p := i / segRecords
+			shared := prev != nil && i < len(prev.Models) && m == prev.Models[i]
+			if shared != step.reused[p] {
+				t.Fatalf("%s: doc %d (segment %d) shares the previous load's model: %v, want %v", step.name, i, p, shared, step.reused[p])
+			}
+		}
+		prev = warm
+	}
+}
+
+// TestIdenticalSegmentsDoNotShareModels: reuse is keyed by segment
+// position, so two byte-identical segments of one snapshot decode to
+// distinct models, cold and warm alike.
+func TestIdenticalSegmentsDoNotShareModels(t *testing.T) {
+	st, _ := OpenStore(t.TempDir())
+	noSleep(st)
+	half := testModels(segRecords)
+	if _, err := st.Build(append(half, half...)); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := st.Load(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := st.Load(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < segRecords; i++ {
+		for _, snap := range []*Snapshot{cold, warm} {
+			if snap.Models[i] == snap.Models[i+segRecords] {
+				t.Fatalf("docs %d and %d share one model", i, i+segRecords)
+			}
+		}
+		if warm.Models[i] != cold.Models[i] || warm.Models[i+segRecords] != cold.Models[i+segRecords] {
+			t.Fatalf("warm load did not reuse doc %d's segment", i)
+		}
 	}
 }
 
@@ -340,4 +456,43 @@ func TestInterruptedInstallLeavesNoVersion(t *testing.T) {
 	if err != nil || v != "v000002" {
 		t.Fatalf("rebuild over orphan: %q %v", v, err)
 	}
+}
+
+// BenchmarkLoad times a three-segment load through a fresh store
+// (cold: every segment decoded) and through a store that has already
+// loaded the same version (warm: every segment read and hashed, none
+// decoded).
+func BenchmarkLoad(b *testing.B) {
+	dir := b.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.Build(testModels(2*segRecords + 5)); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fresh, err := OpenStore(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := fresh.Load(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		if _, err := st.Load(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := st.Load(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
