@@ -645,8 +645,10 @@ func mineDurable(ctx context.Context, p *recipemodel.Pipeline, inputs []recipemo
 }
 
 // cmdSnapshot packs a mined JSONL corpus into a new version of the
-// versioned snapshot store — the segmented, sha256-manifested form
-// recipeserver's query endpoints load and hot-swap. Publishing is
+// versioned snapshot store — the binary-segmented, sha256-manifested
+// form recipeserver's query endpoints load and hot-swap. It is also
+// how a store written with JSONL segments is migrated: concatenate a
+// version's segments and publish them again. Publishing is
 // two-phase and crash-safe; the store's CURRENT pointer swings to the
 // new version only after every segment and the manifest are durable.
 func cmdSnapshot(args []string, out io.Writer) error {

@@ -37,6 +37,28 @@ func corpusModels(n int) []*core.RecipeModel {
 	return out
 }
 
+// firstSegment returns the file name of version's first segment, as
+// the version's MANIFEST.json in the snapshot store at dir records it.
+func firstSegment(t *testing.T, dir, version string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "snapshots", version, "MANIFEST.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct {
+		Segments []struct {
+			Name string `json:"name"`
+		} `json:"segments"`
+	}
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Segments) == 0 {
+		t.Fatalf("%s lists no segments", version)
+	}
+	return man.Segments[0].Name
+}
+
 // TestOpenCorpus: boot loads the newest good version; a torn CURRENT
 // version is logged and rolled past; boot and reload share one store.
 func TestOpenCorpus(t *testing.T) {
@@ -52,7 +74,7 @@ func TestOpenCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := filepath.Join(dir, "snapshots", v2, "seg-000000.jsonl")
+	seg := filepath.Join(dir, "snapshots", v2, firstSegment(t, dir, v2))
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)

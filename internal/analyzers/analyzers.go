@@ -125,6 +125,9 @@ var deterministicPkgs = map[string]bool{
 	// The sharded query service's byte identity rests on similarity
 	// scores agreeing to the last ulp across shard counts.
 	"similarity": true,
+	// The same corpus must publish byte-identical snapshot segments:
+	// a string table emitted in map order would change every digest.
+	"snapshot": true,
 }
 
 // durablePkgs are the packages that persist durable artifacts and so
@@ -135,6 +138,7 @@ var durablePkgs = map[string]bool{
 	"persist":    true,
 	"quarantine": true,
 	"recipemine": true,
+	"snapshot":   true,
 }
 
 // lastSegment returns the final element of an import path.

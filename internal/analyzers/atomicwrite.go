@@ -4,7 +4,8 @@
 // atomically (temp file + fsync + rename + dir fsync — see
 // checkpoint.WriteFileAtomic). A single raw os.WriteFile can silently
 // void the crash-safety contract, so in the packages that persist
-// durable artifacts (checkpoint, persist, quarantine, recipemine):
+// durable artifacts (checkpoint, persist, quarantine, recipemine,
+// snapshot):
 //
 //  1. os.WriteFile and os.Create are banned — both hand back a file
 //     whose contents are not durable on close. Durable code opens
@@ -27,7 +28,7 @@ import (
 func NewAtomicwrite() *Analyzer {
 	return &Analyzer{
 		Name: "atomicwrite",
-		Doc:  "ban unsynced/non-atomic file writes in the durable packages (checkpoint, persist, quarantine, recipemine)",
+		Doc:  "ban unsynced/non-atomic file writes in the durable packages (checkpoint, persist, quarantine, recipemine, snapshot)",
 		Run:  runAtomicwrite,
 	}
 }

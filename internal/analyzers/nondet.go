@@ -1,9 +1,10 @@
 // The nondeterminism rule. The paper's pipeline promises bit-identical
 // output for a fixed seed — parallel == serial, resume == fresh — so
 // the modeling packages (core, crf, cluster, ner, perceptron,
-// depparse, experiments, rules, similarity) must never consult a wall
-// clock, draw from the global math/rand source, or let Go's randomized
-// map iteration order leak into anything they emit or accumulate.
+// depparse, experiments, rules, similarity) and the snapshot codec
+// must never consult a wall clock, draw from the global math/rand
+// source, or let Go's randomized map iteration order leak into
+// anything they emit or accumulate.
 //
 // Three checks, all restricted to the deterministic packages:
 //

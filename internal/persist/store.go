@@ -203,13 +203,14 @@ func (s *Store) Load() (ingredient, instruction *ner.Tagger, version string, err
 }
 
 // LoadVersion loads one installed version: the manifest is read first,
-// the bundle's size and sha256 are checked against it, and only then is
-// the gob decoded. Every error names the offending file; checksum
-// failures carry both the expected and the found digest.
+// the bundle's size is checked against it before the bundle is read,
+// its sha256 after, and only then is the gob decoded. Every error
+// names the offending file; checksum failures carry both the expected
+// and the found digest.
 func (s *Store) LoadVersion(version string) (ingredient, instruction *ner.Tagger, err error) {
 	verDir := s.versionDir(version)
 	manPath := filepath.Join(verDir, "MANIFEST.json")
-	manData, err := os.ReadFile(manPath)
+	manData, err := ReadManifest(manPath)
 	if err != nil {
 		return nil, nil, fmt.Errorf("persist: %w", err)
 	}
@@ -218,12 +219,9 @@ func (s *Store) LoadVersion(version string) (ingredient, instruction *ner.Tagger
 		return nil, nil, fmt.Errorf("persist: %s: %w", manPath, err)
 	}
 	bundlePath := filepath.Join(verDir, "bundle.gob")
-	data, err := os.ReadFile(bundlePath)
+	data, err := ReadExact(bundlePath, man.Size)
 	if err != nil {
 		return nil, nil, fmt.Errorf("persist: %w", err)
-	}
-	if int64(len(data)) != man.Size {
-		return nil, nil, fmt.Errorf("persist: %s: size %d bytes, manifest expects %d", bundlePath, len(data), man.Size)
 	}
 	sum := sha256.Sum256(data)
 	if got := hex.EncodeToString(sum[:]); got != man.SHA256 {

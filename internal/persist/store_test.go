@@ -206,6 +206,60 @@ func TestStoreDetectsTruncation(t *testing.T) {
 	}
 }
 
+// TestStoreRejectsOversizedBundle: a bundle extended to a sparse
+// terabyte is a named-file size error, on a store that has never
+// loaded and on one that has, decided from the file's size before
+// anything is allocated for its bytes.
+func TestStoreRejectsOversizedBundle(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		dir := t.TempDir()
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ing, ins := tinyTaggers(t)
+		v, err := st.Save(ing, ins, ner.DefaultFeatureOptions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm {
+			if _, _, _, err := st.Load(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bundlePath := filepath.Join(dir, "bundles", v, "bundle.gob")
+		if err := os.Truncate(bundlePath, 1<<40); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err = st.Load()
+		if err == nil || !strings.Contains(err.Error(), bundlePath) || !strings.Contains(err.Error(), "size 1099511627776 bytes, manifest expects") {
+			t.Fatalf("warm=%v: oversized bundle: err = %v", warm, err)
+		}
+	}
+}
+
+// TestStoreRejectsOversizedManifest: a manifest past the cap is
+// refused without being read whole.
+func TestStoreRejectsOversizedManifest(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing, ins := tinyTaggers(t)
+	v, err := st.Save(ing, ins, ner.DefaultFeatureOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manPath := filepath.Join(dir, "bundles", v, "MANIFEST.json")
+	if err := os.Truncate(manPath, 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := st.Load(); err == nil || !strings.Contains(err.Error(), manPath) || !strings.Contains(err.Error(), "manifest cap") {
+		t.Fatalf("oversized manifest: err = %v", err)
+	}
+}
+
 func TestStoreLoadEmpty(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {

@@ -1,10 +1,11 @@
 // Chaos drills for the sharded query service (run by `make
 // query-chaos-test` under -race). Each drill injects a failure through
 // internal/faults — a killed shard, a reload racing an in-flight
-// query, a torn or corrupted snapshot on disk — and checks the degraded answers
-// against a serial single-shard oracle: the surviving shards' results
-// must match, element for element, what a healthy one-shard server
-// would answer over only the surviving documents. No drill sleeps;
+// query, a torn, corrupted or oversized snapshot on disk — and checks
+// the degraded answers against a serial single-shard oracle: the
+// surviving shards' results must match, element for element, what a
+// healthy one-shard server would answer over only the surviving
+// documents. No drill sleeps;
 // stalls are channel gates and ordering is enforced by the gates, not
 // the scheduler.
 package server
@@ -38,6 +39,28 @@ func chaosQuery(t *testing.T, s *Server, path, body string) (envelope, int) {
 		return envelope{}, w.Code
 	}
 	return decodeEnvelope(t, w.Body), w.Code
+}
+
+// firstSegment returns the file name of version's first segment, as
+// the version's MANIFEST.json in the snapshot store at dir records it.
+func firstSegment(t *testing.T, dir, version string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "snapshots", version, "MANIFEST.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct {
+		Segments []struct {
+			Name string `json:"name"`
+		} `json:"segments"`
+	}
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Segments) == 0 {
+		t.Fatalf("%s lists no segments", version)
+	}
+	return man.Segments[0].Name
 }
 
 // TestQueryChaosShardKill is the headline acceptance drill: shard k of
@@ -196,7 +219,9 @@ func TestQueryChaosReloadMidQuery(t *testing.T) {
 // TestQueryChaosTornSnapshot: the server boots from a real on-disk
 // store; a torn publish is rejected at reload with a named-file,
 // expected-vs-found digest error while the previous version keeps
-// serving — and LoadLatestGood recovers it for a fresh boot.
+// serving — and LoadLatestGood recovers it for a fresh boot. The
+// serving version corrupted in place, and a publish whose segment is
+// a sparse terabyte, are rejected the same way.
 func TestQueryChaosTornSnapshot(t *testing.T) {
 	st, err := snapshot.OpenStore(t.TempDir())
 	if err != nil {
@@ -222,7 +247,8 @@ func TestQueryChaosTornSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := filepath.Join(st.Dir(), "snapshots", v2, "seg-000000.jsonl")
+	segName := firstSegment(t, st.Dir(), v2)
+	seg := filepath.Join(st.Dir(), "snapshots", v2, segName)
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +263,7 @@ func TestQueryChaosTornSnapshot(t *testing.T) {
 	if w.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("torn snapshot reload: status %d: %s", w.Code, w.Body.String())
 	}
-	if msg := w.Body.String(); !strings.Contains(msg, "seg-000000.jsonl") || !strings.Contains(msg, "manifest expects") {
+	if msg := w.Body.String(); !strings.Contains(msg, segName) || !strings.Contains(msg, "manifest expects") {
 		t.Fatalf("rejection does not name the torn file: %s", msg)
 	}
 	env, code := chaosQuery(t, s, "/query/similar", `{"id": 0, "k": 3}`)
@@ -261,7 +287,8 @@ func TestQueryChaosTornSnapshot(t *testing.T) {
 	if err := st.SetCurrent("v000001"); err != nil {
 		t.Fatal(err)
 	}
-	seg1 := filepath.Join(st.Dir(), "snapshots", "v000001", "seg-000000.jsonl")
+	seg1Name := firstSegment(t, st.Dir(), "v000001")
+	seg1 := filepath.Join(st.Dir(), "snapshots", "v000001", seg1Name)
 	data1, err := os.ReadFile(seg1)
 	if err != nil {
 		t.Fatal(err)
@@ -275,12 +302,36 @@ func TestQueryChaosTornSnapshot(t *testing.T) {
 	if w.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("serving version corrupted in place: reload status %d: %s", w.Code, w.Body.String())
 	}
-	if msg := w.Body.String(); !strings.Contains(msg, filepath.Join("v000001", "seg-000000.jsonl")) || !strings.Contains(msg, "manifest expects sha256") {
+	if msg := w.Body.String(); !strings.Contains(msg, filepath.Join("v000001", seg1Name)) || !strings.Contains(msg, "manifest expects sha256") {
 		t.Fatalf("rejection does not name the corrupted file: %s", msg)
 	}
 	env, code = chaosQuery(t, s, "/query/similar", `{"id": 0, "k": 3}`)
 	if code != http.StatusOK || env.Snapshot != "v000001" || env.Degraded {
 		t.Fatalf("old corpus not serving after in-place corruption: status %d, %+v", code, env)
+	}
+
+	// A new version whose segment was extended to a sparse terabyte is
+	// refused from its size alone: reading it whole would exhaust memory
+	// and kill the process.
+	v3, err := st.Build(queryCorpusModels(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg3Name := firstSegment(t, st.Dir(), v3)
+	if err := os.Truncate(filepath.Join(st.Dir(), "snapshots", v3, seg3Name), 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	w = httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/admin/reload/corpus", nil))
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("oversized segment: reload status %d: %s", w.Code, w.Body.String())
+	}
+	if msg := w.Body.String(); !strings.Contains(msg, filepath.Join(v3, seg3Name)) || !strings.Contains(msg, "size 1099511627776 bytes, manifest expects") {
+		t.Fatalf("rejection does not name the oversized file: %s", msg)
+	}
+	env, code = chaosQuery(t, s, "/query/similar", `{"id": 0, "k": 3}`)
+	if code != http.StatusOK || env.Snapshot != "v000001" || env.Degraded {
+		t.Fatalf("old corpus not serving after an oversized publish: status %d, %+v", code, env)
 	}
 }
 

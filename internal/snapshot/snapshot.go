@@ -9,9 +9,9 @@
 //	  CURRENT                      ← version name, swapped by atomic rename
 //	  snapshots/
 //	    v000001/
-//	      MANIFEST.json            ← docs + per-segment size/sha256
-//	      seg-000000.jsonl         ← RecipeModel JSONL segments
-//	      seg-000001.jsonl
+//	      MANIFEST.json            ← segment format, docs, per-segment size/sha256
+//	      seg-000000.bin           ← binary RecipeModel segments (codec.go)
+//	      seg-000001.bin
 //	    v000002/
 //	      ...
 //
@@ -19,8 +19,8 @@
 // manifest are written atomically inside a hidden temp directory, the
 // directory is renamed into place, and only then does CURRENT swing —
 // a crash anywhere leaves CURRENT naming the previous, fully durable
-// version. Loads verify every segment's size and sha256 against the
-// manifest before decoding a single record, so a torn or bit-flipped
+// version. Loads verify each segment's size and sha256 against the
+// manifest before that segment is decoded, so a torn or bit-flipped
 // snapshot is a named-file, expected-vs-found-digest error, never a
 // half corpus. Load attempts retry with resilience.Backoff (transient
 // I/O), and LoadLatestGood falls back version by version when the
@@ -29,14 +29,11 @@
 package snapshot
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -72,7 +69,11 @@ const segRecords = 2048
 // The Models slice is the snapshot's own, but the models it points to
 // are shared: the next load through the same Store hands out the same
 // pointers for every segment whose bytes did not change. Snapshot
-// models are therefore read-only; nothing may mutate them.
+// models are therefore read-only; nothing may mutate them. The models
+// decoded from one segment also share memory with each other: one
+// backing array holds them, and their strings are substrings of one
+// string holding the segment's string table. Any live model therefore
+// keeps its whole segment's models and strings alive.
 type Snapshot struct {
 	Version string
 	Models  []*core.RecipeModel
@@ -132,11 +133,14 @@ type segmentEntry struct {
 	SHA256  string `json:"sha256"`
 }
 
-// manifest is the per-version integrity record: total docs plus every
-// segment's size and digest. A loader trusts nothing it has not
-// checked against this file.
+// manifest is the per-version integrity record: the segment format,
+// total docs, and every segment's size and digest. A loader trusts
+// nothing it has not checked against this file.
 type manifest struct {
-	Version  string         `json:"version"`
+	Version string `json:"version"`
+	// Format names the segment codec. Versions written before the
+	// binary codec have none: their segments are JSONL.
+	Format   string         `json:"format"`
 	Docs     int            `json:"docs"`
 	Segments []segmentEntry `json:"segments"`
 }
@@ -198,11 +202,17 @@ func (s *Store) Current() (string, error) {
 // Build installs the models as a new snapshot version and swaps
 // CURRENT to it, returning the version name. Models are encoded in
 // their given order (positions are the corpus's global doc ids) into
-// fixed-size JSONL segments; the install is two-phase, so a crash at
-// any point leaves CURRENT on the previous, fully durable version.
+// fixed-size binary segments; the same models always produce the same
+// bytes. The install is two-phase, so a crash at any point leaves
+// CURRENT on the previous, fully durable version.
 func (s *Store) Build(models []*core.RecipeModel) (version string, err error) {
 	if len(models) == 0 {
 		return "", fmt.Errorf("snapshot: refusing to build an empty snapshot")
+	}
+	for i, m := range models {
+		if m == nil {
+			return "", fmt.Errorf("snapshot: refusing to build a snapshot with nil doc %d", i)
+		}
 	}
 	version, err = s.nextVersion()
 	if err != nil {
@@ -222,25 +232,19 @@ func (s *Store) Build(models []*core.RecipeModel) (version string, err error) {
 		}
 	}()
 
-	man := manifest{Version: version, Docs: len(models)}
+	man := manifest{Version: version, Format: segmentFormat, Docs: len(models)}
 	for lo := 0; lo < len(models); lo += segRecords {
 		hi := min(lo+segRecords, len(models))
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		for _, m := range models[lo:hi] {
-			if err := enc.Encode(m); err != nil {
-				return "", fmt.Errorf("snapshot: install %s: encode doc %d: %w", version, lo, err)
-			}
-		}
-		name := fmt.Sprintf("seg-%06d.jsonl", len(man.Segments))
-		sum := sha256.Sum256(buf.Bytes())
-		if err := checkpoint.WriteFileAtomic(filepath.Join(tmpDir, name), buf.Bytes(), 0o644); err != nil {
+		data := encodeSegment(models[lo:hi])
+		name := fmt.Sprintf("seg-%06d.bin", len(man.Segments))
+		sum := sha256.Sum256(data)
+		if err := checkpoint.WriteFileAtomic(filepath.Join(tmpDir, name), data, 0o644); err != nil {
 			return "", fmt.Errorf("snapshot: install %s: %w", version, err)
 		}
 		man.Segments = append(man.Segments, segmentEntry{
 			Name:    name,
 			Records: hi - lo,
-			Size:    int64(buf.Len()),
+			Size:    int64(len(data)),
 			SHA256:  hex.EncodeToString(sum[:]),
 		})
 	}
@@ -263,10 +267,12 @@ func (s *Store) Build(models []*core.RecipeModel) (version string, err error) {
 	return version, nil
 }
 
-// LoadVersion loads one installed version: the manifest is read first,
-// every segment's size and sha256 are checked against it, and only
-// then are the records decoded. Every error names the offending file;
-// checksum failures carry both the expected and the found digest.
+// LoadVersion loads one installed version: the manifest is read first
+// and must name this build's segment format. Then, segment by segment,
+// the size is checked against the manifest before the file is read,
+// the sha256 after, and only then are the segment's records decoded.
+// Every error names the offending file; checksum failures carry both
+// the expected and the found digest, and decode errors the record.
 //
 // Every check runs on every segment on every call. Only a segment that
 // has passed them, and whose digest equals the one the store's newest
@@ -279,13 +285,22 @@ func (s *Store) LoadVersion(version string) (*Snapshot, error) {
 	}
 	verDir := s.versionDir(version)
 	manPath := filepath.Join(verDir, "MANIFEST.json")
-	manData, err := os.ReadFile(manPath)
+	manData, err := persist.ReadManifest(manPath)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	var man manifest
 	if err := json.Unmarshal(manData, &man); err != nil {
 		return nil, fmt.Errorf("snapshot: %s: %w", manPath, err)
+	}
+	switch man.Format {
+	case segmentFormat:
+	case "":
+		return nil, fmt.Errorf("snapshot: %s: no segment format recorded: this version holds JSONL segments, which this release no longer reads; republish it with: cat %s > corpus.jsonl && recipemine snapshot -store %s -from corpus.jsonl",
+			manPath, filepath.Join(verDir, "seg-*.jsonl"), s.dir)
+	default:
+		return nil, fmt.Errorf("snapshot: %s: unknown segment format %q (this release reads %q); republish the mined corpus with: recipemine snapshot -store %s -from corpus.jsonl",
+			manPath, man.Format, segmentFormat, s.dir)
 	}
 	// Build refuses empty corpora, so a manifest claiming zero (or
 	// negative) docs can only be corruption.
@@ -304,12 +319,9 @@ func (s *Store) LoadVersion(version string) (*Snapshot, error) {
 			return nil, fmt.Errorf("snapshot: %s: invalid segment name %q", manPath, seg.Name)
 		}
 		segPath := filepath.Join(verDir, seg.Name)
-		data, err := os.ReadFile(segPath)
+		data, err := persist.ReadExact(segPath, seg.Size)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: %w", err)
-		}
-		if int64(len(data)) != seg.Size {
-			return nil, fmt.Errorf("snapshot: %s: size %d bytes, manifest expects %d", segPath, len(data), seg.Size)
 		}
 		sum := sha256.Sum256(data)
 		got := hex.EncodeToString(sum[:])
@@ -321,7 +333,7 @@ func (s *Store) LoadVersion(version string) (*Snapshot, error) {
 		var records []*core.RecipeModel
 		if i < len(prev) && prev[i].sha256 == got {
 			records = prev[i].records
-		} else if records, err = decodeSegment(data); err != nil {
+		} else if records, err = decodeSegment(data, seg.Records); err != nil {
 			return nil, fmt.Errorf("snapshot: %s: %w", segPath, err)
 		}
 		if len(records) != seg.Records {
@@ -337,21 +349,6 @@ func (s *Store) LoadVersion(version string) (*Snapshot, error) {
 	s.memo = memo
 	s.mu.Unlock()
 	return snap, nil
-}
-
-// decodeSegment parses one segment's JSONL records.
-func decodeSegment(data []byte) ([]*core.RecipeModel, error) {
-	var out []*core.RecipeModel
-	dec := json.NewDecoder(bufio.NewReader(bytes.NewReader(data)))
-	for {
-		var m core.RecipeModel
-		if err := dec.Decode(&m); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("decode record %d: %w", len(out), err)
-		}
-		out = append(out, &m)
-	}
 }
 
 // loadVersionRetry is LoadVersion behind the store's backoff: a
