@@ -110,12 +110,13 @@ poison-test:
 	$(GO) test ./internal/core -run 'TestContained|TestPartial|TestModelRecipesPartial|TestInstructionsPartial' -count=1
 
 # Heavy-tail chaos drills (DESIGN §13), under -race: a duplicated-
-# phrase herd replayed at worker counts 1 and 4 while a hot reload or
-# a leader kill lands mid-herd, every response byte-identical to an
-# uncached serial oracle; plus the 1000-strong herd that must decode
-# exactly once, the reload-mid-herd generation pinning, and the
-# degraded-mode (saturated limiter) posture. All disruption timing is
-# fault-point driven — no sleeps.
+# phrase herd replayed at cache 0 and 256 × worker counts 1 and 4
+# while a hot reload or a leader kill lands mid-herd, every response
+# byte-identical to a serial test oracle that decodes each request
+# phrase by phrase and calls no server code; plus the 1000-strong herd
+# that must decode exactly once (cache 0 and 128), the reload-mid-herd
+# generation pinning, and the degraded-mode (saturated limiter)
+# posture. All disruption timing is fault-point driven — no sleeps.
 herd-test:
 	$(GO) test -race ./internal/server -run 'TestHerdChaos|TestHerdCoalescesToOneDecode|TestReloadDuringHerdNoStaleGenerationServed|TestDegradedModeHitsServedMissesShed' -count=1
 	$(GO) test -race ./internal/flight ./internal/cache -count=1
@@ -125,9 +126,10 @@ herd-test:
 # miss answers 200 tier:"rules", the breaker trips and then recovers
 # on an injected clock within the probe budget), the differential
 # byte-identity contract (rules tier + breaker configured, routing
-# off: responses identical to the pre-tier server), the saturated-miss
-# and mixed-batch ladder rungs, plus the breaker and rules-tier unit
-# drills. No sleeps anywhere — breaker time is clock-injected.
+# off: responses identical to the serial test oracle at cache 0/256 ×
+# workers 1/4), the saturated-miss and mixed-batch ladder rungs, the
+# agreement audit, plus the breaker and rules-tier unit drills. No
+# sleeps anywhere — breaker time is clock-injected.
 tier-test:
 	$(GO) test -race ./internal/server -run 'TestTier' -count=1
 	$(GO) test -race ./internal/breaker ./internal/rules -count=1

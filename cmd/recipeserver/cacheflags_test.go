@@ -10,25 +10,6 @@ import (
 	"recipemodel/internal/server"
 )
 
-func TestResolveCacheEntries(t *testing.T) {
-	cases := []struct {
-		entries int
-		off     bool
-		want    int
-	}{
-		{entries: defaultCacheEntries, off: false, want: defaultCacheEntries},
-		{entries: 128, off: false, want: 128},
-		{entries: 128, off: true, want: 0}, // -cache-off wins
-		{entries: 0, off: false, want: 0},
-		{entries: -5, off: false, want: 0},
-	}
-	for _, c := range cases {
-		if got := resolveCacheEntries(c.entries, c.off); got != c.want {
-			t.Errorf("resolveCacheEntries(%d, %v) = %d, want %d", c.entries, c.off, got, c.want)
-		}
-	}
-}
-
 // TestCacheConfigLine: the startup line states the posture and, when
 // on, the bound — the operator-facing contract of satellite (a).
 func TestCacheConfigLine(t *testing.T) {
@@ -49,7 +30,7 @@ func TestBuildServerWiresCache(t *testing.T) {
 		t.Skip("trains a pipeline")
 	}
 	h, err := buildServer("", "", 0, smallOpts(), server.Config{
-		CacheEntries: resolveCacheEntries(defaultCacheEntries, false),
+		CacheEntries: defaultCacheEntries,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,11 +22,12 @@
 // for up to -drain-timeout, then exits 0.
 //
 // Heavy-tail posture: annotations are memoized in a bounded,
-// generation-pinned cache (-cache-entries, default 65536; -cache-off
-// disables) with singleflight coalescing, so a herd of identical
+// generation-pinned cache (-cache-entries, default 65536; 0 turns the
+// memo off) with singleflight coalescing, so a herd of identical
 // requests decodes once and, under a saturated limiter, cached
-// phrases still answer while only uncached work sheds. /readyz
-// reports the cache and shed counters.
+// phrases still answer while only uncached work sheds. Coalescing and
+// in-batch dedup stay on with the memo off. /readyz reports the cache
+// and shed counters.
 //
 // Tier posture: annotation resolves through the degradation ladder
 // (DESIGN §15): CRF tier → cache hot-set → rules tier → shed. A
@@ -89,16 +90,8 @@ type pipeAdapter struct {
 	p *recipemodel.Pipeline
 }
 
-func (a pipeAdapter) AnnotateIngredient(phrase string) core.IngredientRecord {
-	return a.p.AnnotateIngredient(phrase)
-}
-
 func (a pipeAdapter) AnnotateIngredientChecked(phrase string) (core.IngredientRecord, error) {
 	return a.p.AnnotateIngredientChecked(phrase)
-}
-
-func (a pipeAdapter) AnnotateIngredientsContext(ctx context.Context, phrases []string) ([]core.IngredientRecord, error) {
-	return a.p.AnnotateIngredientsContext(ctx, phrases)
 }
 
 func (a pipeAdapter) AnnotateIngredientsPartial(ctx context.Context, phrases []string) ([]core.IngredientRecord, []quarantine.Rejection, error) {
@@ -169,23 +162,12 @@ func buildServer(modelPath, storePath string, corpusSize int, opts recipemodel.O
 // in cache, small enough to be irrelevant next to the model itself.
 const defaultCacheEntries = 64 << 10
 
-// resolveCacheEntries folds the two cache flags into the config
-// value: -cache-off wins over any -cache-entries, and a negative
-// entry count means off (the cache constructor treats <= 0 as
-// disabled, so the fold is total).
-func resolveCacheEntries(entries int, off bool) int {
-	if off || entries < 0 {
-		return 0
-	}
-	return entries
-}
-
 // cacheConfigLine is the startup log line stating the cache posture,
 // so an operator reading the log knows whether heavy-tail hardening
 // is active without probing /readyz.
 func cacheConfigLine(entries int) string {
 	if entries <= 0 {
-		return "annotation cache: off (every request decodes; no coalescing)"
+		return "annotation cache: off (no memo; request coalescing and batch dedup stay on)"
 	}
 	return fmt.Sprintf("annotation cache: on (%d entries, singleflight coalescing, hits served under overload)", entries)
 }
@@ -304,11 +286,10 @@ func main() {
 	modelPath := flag.String("model", "", "persisted pipeline file (empty: train fresh)")
 	storePath := flag.String("store", "", "versioned model store directory; enables /admin/reload and SIGHUP hot reload (overrides -model)")
 	corpusSize := flag.Int("corpus", 200, "synthetic recipes to mine and index for /search (0 disables)")
-	maxInFlight := flag.Int("max-inflight", 1024, "admitted work units before shedding with 429 (batch = phrase count; 0 = unlimited)")
+	maxInFlight := flag.Int("max-inflight", 1024, "admitted work units before shedding with 429 (batch = distinct uncached phrases; 0 = unlimited)")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline threaded through the pipeline (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget for in-flight requests")
-	cacheEntries := flag.Int("cache-entries", defaultCacheEntries, "annotation cache capacity in entries (0 disables)")
-	cacheOff := flag.Bool("cache-off", false, "disable the annotation cache and request coalescing entirely")
+	cacheEntries := flag.Int("cache-entries", defaultCacheEntries, "annotation cache capacity in entries (<= 0 turns the memo off; coalescing and batch dedup stay on)")
 	snapshotsPath := flag.String("snapshots", "", "versioned corpus snapshot store directory; enables the /query endpoints and corpus hot reload")
 	queryShards := flag.Int("query-shards", 4, "in-memory corpus shards behind the /query endpoints (clamped to the doc count)")
 	queryShardBudget := flag.Duration("query-shard-budget", 2*time.Second, "per-shard deadline before a query degrades to partial results (0 disables)")
@@ -328,7 +309,7 @@ func main() {
 		MaxInFlight:    *maxInFlight,
 		RequestTimeout: *requestTimeout,
 		RetryAfter:     time.Second,
-		CacheEntries:   resolveCacheEntries(*cacheEntries, *cacheOff),
+		CacheEntries:   *cacheEntries,
 	}
 	log.Print(cacheConfigLine(cfg.CacheEntries))
 	if !*rulesOff {

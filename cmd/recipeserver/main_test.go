@@ -123,31 +123,22 @@ type gatedPipe struct {
 	gate    chan struct{}
 }
 
-func (g gatedPipe) AnnotateIngredient(phrase string) core.IngredientRecord {
+func (g gatedPipe) AnnotateIngredientChecked(phrase string) (core.IngredientRecord, error) {
 	if g.entered != nil {
 		g.entered <- struct{}{}
 	}
 	if g.gate != nil {
 		<-g.gate
 	}
-	return core.IngredientRecord{Phrase: phrase}
+	return core.IngredientRecord{Phrase: phrase}, nil
 }
 
-func (g gatedPipe) AnnotateIngredientChecked(phrase string) (core.IngredientRecord, error) {
-	return g.AnnotateIngredient(phrase), nil
-}
-
-func (g gatedPipe) AnnotateIngredientsContext(ctx context.Context, phrases []string) ([]core.IngredientRecord, error) {
+func (g gatedPipe) AnnotateIngredientsPartial(ctx context.Context, phrases []string) ([]core.IngredientRecord, []quarantine.Rejection, error) {
 	out := make([]core.IngredientRecord, len(phrases))
 	for i, p := range phrases {
 		out[i] = core.IngredientRecord{Phrase: p}
 	}
-	return out, ctx.Err()
-}
-
-func (g gatedPipe) AnnotateIngredientsPartial(ctx context.Context, phrases []string) ([]core.IngredientRecord, []quarantine.Rejection, error) {
-	out, err := g.AnnotateIngredientsContext(ctx, phrases)
-	return out, nil, err
+	return out, nil, ctx.Err()
 }
 
 func (g gatedPipe) ModelRecipeContext(ctx context.Context, title, cuisine string, lines []string, instr string) (*core.RecipeModel, error) {

@@ -29,18 +29,9 @@ type benchAdapter struct {
 	decodes *atomic.Int64
 }
 
-func (a benchAdapter) AnnotateIngredient(phrase string) core.IngredientRecord {
-	return a.p.AnnotateIngredient(phrase)
-}
-
 func (a benchAdapter) AnnotateIngredientChecked(phrase string) (core.IngredientRecord, error) {
 	a.decodes.Add(1)
 	return a.p.AnnotateIngredientChecked(phrase)
-}
-
-func (a benchAdapter) AnnotateIngredientsContext(ctx context.Context, phrases []string) ([]core.IngredientRecord, error) {
-	a.decodes.Add(int64(len(phrases)))
-	return a.p.AnnotateIngredientsContext(ctx, phrases)
 }
 
 func (a benchAdapter) AnnotateIngredientsPartial(ctx context.Context, phrases []string) ([]core.IngredientRecord, []quarantine.Rejection, error) {
@@ -196,8 +187,9 @@ func serveBatchMix(b *testing.B, h http.Handler, pipe benchAdapter, mix []string
 }
 
 // BenchmarkBatchHeavyTailUncached / Cached: the same 90%-duplicate
-// stream chunked into 512-phrase batches, where the cached side also
-// exercises in-batch dedup.
+// stream chunked into 512-phrase batches. Both sides decode each
+// distinct phrase of a batch once; only the cached side carries hits
+// from one batch to the next.
 func BenchmarkBatchHeavyTailUncached(b *testing.B) {
 	pipe := trainedPipe(b)
 	s := NewWithConfig(pipe, nil, Config{})

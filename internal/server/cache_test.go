@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -25,17 +26,21 @@ import (
 // model (v1 vs a reloaded v2) produced a response, and the Phrase
 // field echoes the raw request phrase like the real pipeline does.
 type countingPipe struct {
-	tag     string
-	decodes atomic.Int64 // Checked + per-phrase Partial decodes
+	tag string
+	// decodes counts Checked calls (the reload canary's included) and
+	// per-phrase Partial decodes.
+	decodes atomic.Int64
 	// slow, when non-nil, blocks decodes of phrases with the "slow:"
 	// prefix until the channel closes — the deterministic saturated-
 	// limiter prop for the degraded-mode tests.
 	slow chan struct{}
 }
 
-// result is the pure decode: no counting, no gate (also serves the
-// reload canary, which must not skew decode counts).
-func (c *countingPipe) result(phrase string) (core.IngredientRecord, error) {
+func (c *countingPipe) AnnotateIngredientChecked(phrase string) (core.IngredientRecord, error) {
+	c.decodes.Add(1)
+	if c.slow != nil && strings.HasPrefix(phrase, "slow:") {
+		<-c.slow
+	}
 	if err := poison(phrase); err != nil {
 		return core.IngredientRecord{Phrase: phrase}, err
 	}
@@ -51,36 +56,11 @@ func (c *countingPipe) result(phrase string) (core.IngredientRecord, error) {
 	}, nil
 }
 
-func (c *countingPipe) decode(phrase string) (core.IngredientRecord, error) {
-	c.decodes.Add(1)
-	if c.slow != nil && strings.HasPrefix(phrase, "slow:") {
-		<-c.slow
-	}
-	return c.result(phrase)
-}
-
-func (c *countingPipe) AnnotateIngredient(phrase string) core.IngredientRecord {
-	rec, _ := c.result(phrase)
-	return rec
-}
-
-func (c *countingPipe) AnnotateIngredientChecked(phrase string) (core.IngredientRecord, error) {
-	return c.decode(phrase)
-}
-
-func (c *countingPipe) AnnotateIngredientsContext(ctx context.Context, phrases []string) ([]core.IngredientRecord, error) {
-	out := make([]core.IngredientRecord, len(phrases))
-	for i, p := range phrases {
-		out[i], _ = c.decode(p)
-	}
-	return out, ctx.Err()
-}
-
 func (c *countingPipe) AnnotateIngredientsPartial(ctx context.Context, phrases []string) ([]core.IngredientRecord, []quarantine.Rejection, error) {
 	out := make([]core.IngredientRecord, len(phrases))
 	var rejs []quarantine.Rejection
 	for i, p := range phrases {
-		rec, err := c.decode(p)
+		rec, err := c.AnnotateIngredientChecked(p)
 		if err != nil {
 			rejs = append(rejs, quarantine.Reject(i, p, err))
 			continue
@@ -148,8 +128,9 @@ func TestCacheHitSkipsDecode(t *testing.T) {
 	}
 }
 
-// TestCacheOffDecodesEveryRequest: CacheEntries 0 restores the
-// decode-per-request behavior and reports disabled on /readyz.
+// TestCacheOffDecodesEveryRequest: CacheEntries 0 turns the memo off
+// — sequential identical requests each decode — and /readyz reports
+// the cache disabled.
 func TestCacheOffDecodesEveryRequest(t *testing.T) {
 	pipe := &countingPipe{tag: "v1"}
 	s := NewWithConfig(pipe, nil, Config{})
@@ -164,7 +145,7 @@ func TestCacheOffDecodesEveryRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ready.Cache.Enabled {
-		t.Fatal("cache reported enabled on an uncached server")
+		t.Fatal("cache reported enabled with CacheEntries 0")
 	}
 }
 
@@ -178,9 +159,10 @@ func differentialPhrases() []string {
 		"2 cups onion",
 		"salt",
 		"2 cups onion",
-		"2 cups onion", // NBSP variant: same canonical key, different raw bytes
-		"   ",           // empty_after_clean rejection
-		"panic:boom",    // contained tagger panic rejection
+		"2 cups\u00a0onion",  // NBSP variant: same canonical key, different raw bytes
+		"2 cups onion\u200b", // zero-width-space variant: same canonical key
+		"   ",                // empty_after_clean rejection
+		"panic:boom",         // contained tagger panic rejection
 		"1 tbsp butter",
 		"salt",
 		"2 eggs",
@@ -190,56 +172,59 @@ func differentialPhrases() []string {
 	}
 }
 
-// TestCachedResponsesByteIdenticalToUncached is the differential
-// contract of DESIGN §13: for any request mix, the cached server's
-// responses are byte-for-byte the uncached server's — including
-// rejection payloads and raw-phrase echoes on shared cache entries.
-func TestCachedResponsesByteIdenticalToUncached(t *testing.T) {
-	cached := NewWithConfig(&countingPipe{tag: "m"}, nil, Config{CacheEntries: 128})
-	uncached := NewWithConfig(&countingPipe{tag: "m"}, nil, Config{})
-	for _, s := range []*Server{cached, uncached} {
-		s.SetReady(true)
-	}
-	// two passes so the second pass serves from a warm cache.
-	for pass := 0; pass < 2; pass++ {
-		for i, phrase := range differentialPhrases() {
-			body := annotateBody(phrase)
-			wc := do(t, cached, http.MethodPost, "/annotate", body)
-			wu := do(t, uncached, http.MethodPost, "/annotate", body)
-			if wc.Code != wu.Code || wc.Body.String() != wu.Body.String() {
-				t.Fatalf("pass %d request %d (%.40q): cached (%d, %s) vs uncached (%d, %s)",
-					pass, i, phrase, wc.Code, wc.Body.String(), wu.Code, wu.Body.String())
+// TestAnnotateByteIdenticalToSerialOracle is the differential
+// contract of DESIGN §13: for any request mix, /annotate answers
+// byte-for-byte what the serial oracle does — including rejection
+// payloads and raw-phrase echoes on shared cache entries — with the
+// memo off and on.
+func TestAnnotateByteIdenticalToSerialOracle(t *testing.T) {
+	for _, cacheEntries := range []int{0, 256} {
+		t.Run(fmt.Sprintf("cache=%d", cacheEntries), func(t *testing.T) {
+			s := NewWithConfig(&countingPipe{tag: "m"}, nil, Config{CacheEntries: cacheEntries})
+			s.SetReady(true)
+			// two passes so the second pass serves from a warm cache.
+			for pass := 0; pass < 2; pass++ {
+				for i, phrase := range differentialPhrases() {
+					req := chaosRequest{path: "/annotate", body: annotateBody(phrase)}
+					w := do(t, s, http.MethodPost, req.path, req.body)
+					want := serialOracle(t, "m", req)
+					if w.Code != want.code || w.Body.String() != want.body {
+						t.Fatalf("pass %d request %d (%.40q): server (%d, %s) vs oracle (%d, %s)",
+							pass, i, phrase, w.Code, w.Body.String(), want.code, want.body)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
-// TestCachedBatchByteIdenticalToUncached: same differential contract
-// for the batch endpoint, whose cached path additionally deduplicates
-// misses — the envelope (per-item statuses, roll-up counts, HTTP
-// status) must not show it.
-func TestCachedBatchByteIdenticalToUncached(t *testing.T) {
-	cached := NewWithConfig(&countingPipe{tag: "m"}, nil, Config{CacheEntries: 128})
-	uncached := NewWithConfig(&countingPipe{tag: "m"}, nil, Config{})
-	for _, s := range []*Server{cached, uncached} {
-		s.SetReady(true)
-	}
-	phrases := differentialPhrases()
-	body, _ := json.Marshal(map[string][]string{"phrases": phrases})
-	for pass := 0; pass < 2; pass++ {
-		wc := do(t, cached, http.MethodPost, "/annotate/batch", string(body))
-		wu := do(t, uncached, http.MethodPost, "/annotate/batch", string(body))
-		if wc.Code != wu.Code || wc.Body.String() != wu.Body.String() {
-			t.Fatalf("pass %d: cached (%d) vs uncached (%d)\n--- cached ---\n%s\n--- uncached ---\n%s",
-				pass, wc.Code, wu.Code, wc.Body.String(), wu.Body.String())
-		}
+// TestBatchByteIdenticalToSerialOracle: same differential contract
+// for the batch endpoint, which additionally deduplicates misses —
+// the envelope (per-item statuses, roll-up counts, HTTP status) must
+// not show it.
+func TestBatchByteIdenticalToSerialOracle(t *testing.T) {
+	body, _ := json.Marshal(map[string][]string{"phrases": differentialPhrases()})
+	req := chaosRequest{path: "/annotate/batch", body: string(body)}
+	want := serialOracle(t, "m", req)
+	for _, cacheEntries := range []int{0, 256} {
+		t.Run(fmt.Sprintf("cache=%d", cacheEntries), func(t *testing.T) {
+			s := NewWithConfig(&countingPipe{tag: "m"}, nil, Config{CacheEntries: cacheEntries})
+			s.SetReady(true)
+			for pass := 0; pass < 2; pass++ {
+				w := do(t, s, http.MethodPost, req.path, req.body)
+				if w.Code != want.code || w.Body.String() != want.body {
+					t.Fatalf("pass %d: server (%d) vs oracle (%d)\n--- server ---\n%s\n--- oracle ---\n%s",
+						pass, w.Code, want.code, w.Body.String(), want.body)
+				}
+			}
+		})
 	}
 }
 
 // TestBatchDedupDecodesUniqueMissesOnce: a batch dominated by one hot
 // phrase decodes each distinct phrase once, and its admission weight
 // is the deduplicated miss count — a 100-phrase batch fits through a
-// 3-unit limiter that would shed it uncached.
+// 3-unit limiter.
 func TestBatchDedupDecodesUniqueMissesOnce(t *testing.T) {
 	pipe := &countingPipe{tag: "v1"}
 	s := NewWithConfig(pipe, nil, Config{CacheEntries: 128, MaxInFlight: 3})
@@ -271,51 +256,55 @@ func TestBatchDedupDecodesUniqueMissesOnce(t *testing.T) {
 }
 
 // TestHerdCoalescesToOneDecode is the acceptance drill: a herd of
-// 1000 concurrent identical misses performs exactly one decode. The
-// flight.leader fault holds the leader until every other request has
-// joined as a waiter (fault-point counted, no sleeps), pinning true
-// coalescing rather than serial cache hits.
+// 1000 concurrent identical misses performs exactly one decode, with
+// the memo off or on. The flight.leader fault holds the leader until
+// every other request has joined as a waiter (fault-point counted, no
+// sleeps), pinning true coalescing rather than serial cache hits.
 func TestHerdCoalescesToOneDecode(t *testing.T) {
-	defer faults.Reset()
-	const herd = 1000
-	pipe := &countingPipe{tag: "v1"}
-	s := NewWithConfig(pipe, nil, Config{CacheEntries: 128})
-	s.SetReady(true)
+	for _, cacheEntries := range []int{0, 128} {
+		t.Run(fmt.Sprintf("cache=%d", cacheEntries), func(t *testing.T) {
+			defer faults.Reset()
+			const herd = 1000
+			pipe := &countingPipe{tag: "v1"}
+			s := NewWithConfig(pipe, nil, Config{CacheEntries: cacheEntries})
+			s.SetReady(true)
 
-	release := make(chan struct{})
-	faults.Enable(flight.FaultLeader, faults.Fault{OnHit: func(int) { <-release }})
+			release := make(chan struct{})
+			faults.Enable(flight.FaultLeader, faults.Fault{OnHit: func(int) { <-release }})
 
-	body := annotateBody("salt")
-	codes := make(chan int, herd)
-	bodies := make(chan string, herd)
-	for i := 0; i < herd; i++ {
-		go func() {
-			w := do(t, s, http.MethodPost, "/annotate", body)
-			codes <- w.Code
-			bodies <- w.Body.String()
-		}()
-	}
-	fkey := flightKey(1, "salt")
-	waitUntil(t, func() bool { return s.flights.Waiters(fkey) == herd-1 })
-	close(release)
+			body := annotateBody("salt")
+			codes := make(chan int, herd)
+			bodies := make(chan string, herd)
+			for i := 0; i < herd; i++ {
+				go func() {
+					w := do(t, s, http.MethodPost, "/annotate", body)
+					codes <- w.Code
+					bodies <- w.Body.String()
+				}()
+			}
+			fkey := flightKey(1, "salt")
+			waitUntil(t, func() bool { return s.flights.Waiters(fkey) == herd-1 })
+			close(release)
 
-	var first string
-	for i := 0; i < herd; i++ {
-		if code := <-codes; code != 200 {
-			t.Fatalf("herd member = %d", code)
-		}
-		b := <-bodies
-		if first == "" {
-			first = b
-		} else if b != first {
-			t.Fatalf("herd bodies diverged:\n%s\nvs\n%s", first, b)
-		}
-	}
-	if got := pipe.decodes.Load(); got != 1 {
-		t.Fatalf("decodes = %d, want exactly 1", got)
-	}
-	if hits := faults.Hits(flight.FaultLeader); hits != 1 {
-		t.Fatalf("flight.leader hits = %d, want 1 (one leader for the whole herd)", hits)
+			var first string
+			for i := 0; i < herd; i++ {
+				if code := <-codes; code != 200 {
+					t.Fatalf("herd member = %d", code)
+				}
+				b := <-bodies
+				if first == "" {
+					first = b
+				} else if b != first {
+					t.Fatalf("herd bodies diverged:\n%s\nvs\n%s", first, b)
+				}
+			}
+			if got := pipe.decodes.Load(); got != 1 {
+				t.Fatalf("decodes = %d, want exactly 1", got)
+			}
+			if hits := faults.Hits(flight.FaultLeader); hits != 1 {
+				t.Fatalf("flight.leader hits = %d, want 1 (one leader for the whole herd)", hits)
+			}
+		})
 	}
 }
 
@@ -381,12 +370,14 @@ func TestReloadDuringHerdNoStaleGenerationServed(t *testing.T) {
 	if got := v1.decodes.Load(); got != 1 {
 		t.Fatalf("v1 decodes = %d, want 1", got)
 	}
-	if got := v2.decodes.Load(); got != 1 {
-		t.Fatalf("v2 decodes = %d, want 1", got)
+	// the reload canary decodes through the candidate too.
+	wantV2 := int64(1 + len(canaryFor("v2")))
+	if got := v2.decodes.Load(); got != wantV2 {
+		t.Fatalf("v2 decodes = %d, want %d", got, wantV2)
 	}
 	// and the v2 answer is now the cached one.
 	w = do(t, s, http.MethodPost, "/annotate", body)
-	if !strings.Contains(w.Body.String(), `"v2:salt"`) || v2.decodes.Load() != 1 {
+	if !strings.Contains(w.Body.String(), `"v2:salt"`) || v2.decodes.Load() != wantV2 {
 		t.Fatalf("warm post-reload response = %s (v2 decodes = %d)", w.Body.String(), v2.decodes.Load())
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"recipemodel/internal/cache"
 	"recipemodel/internal/faults"
 	"recipemodel/internal/flight"
 )
@@ -30,8 +29,8 @@ func chaosMix() []chaosRequest {
 	phrases := []string{
 		"salt", "2 cups onion", "salt", "1 tbsp butter",
 		"salt", "2 cups onion", "2 eggs", "salt",
-		"2 cups onion", // NBSP variant of the hot phrase
-		"   ",          // empty_after_clean rejection
+		"2 cups\u00a0onion",  // NBSP variant of the hot phrase
+		"   ",                // empty_after_clean rejection
 		"salt", "panic:boom", // contained tagger panic rejection
 	}
 	reqs := make([]chaosRequest, 0, 128)
@@ -80,96 +79,100 @@ func replay(t *testing.T, h http.Handler, reqs []chaosRequest, workers int) []ch
 }
 
 // TestHerdChaos is the `make herd-test` drill: the duplicated-phrase
-// herd is replayed against a cached server under worker counts 1 and
-// 4 and under deterministic disruptions — a hot reload landing
-// mid-herd (fired from an exact cache.lookup hit, no sleeps) and a
-// flight leader killed mid-decode — and every response must be
-// byte-identical to an uncached server answering the same mix
-// serially. The only tolerated divergence is the killed leader's own
-// 500, and exactly as many of those as the fault fired.
+// herd is replayed with the memo off and on, under worker counts 1
+// and 4 and under deterministic disruptions — a hot reload landing
+// mid-herd (fired from inside the 10th flight leader, after it has
+// resolved the old generation; no sleeps) and a flight leader killed
+// mid-decode — and every response must be byte-identical to the
+// serial oracle answering the same mix. The only tolerated divergence
+// is the killed leader's own 500, and exactly as many of those as the
+// fault fired.
 func TestHerdChaos(t *testing.T) {
 	reqs := chaosMix()
-	quiet := log.New(io.Discard, "", 0)
-
-	// The oracle: uncached, serial — the plain meaning of the mix.
-	oracleSrv := NewWithConfig(&countingPipe{tag: "v1"}, nil, Config{Logger: quiet})
-	oracleSrv.SetReady(true)
-	oracle := replay(t, oracleSrv, reqs, 1)
-
+	oracle := serialOracleAll(t, "v1", reqs)
 	for _, workers := range []int{1, 4} {
 		for _, disruption := range []string{"none", "reload", "leaderpanic"} {
 			t.Run(fmt.Sprintf("workers=%d,disruption=%s", workers, disruption), func(t *testing.T) {
-				defer faults.Reset()
-				cfg := Config{CacheEntries: 256, Logger: quiet}
-				if disruption == "reload" {
-					// The candidate decodes identically (same tag):
-					// the reload drills generation invalidation, and
-					// byte-identity must hold straight through it.
-					cfg.Loader = func() (Pipeline, string, error) {
-						return &countingPipe{tag: "v1"}, "v1-rebuilt", nil
-					}
-					cfg.Canary = canaryFor("v1")
-				}
-				s := NewWithConfig(&countingPipe{tag: "v1"}, nil, cfg)
-				s.SetReady(true)
-
-				switch disruption {
-				case "reload":
-					// Fire the reload from deep inside the herd: the
-					// 40th cache lookup pulls the trigger, wherever in
-					// the request stream that lands.
-					faults.Enable(cache.FaultLookup, faults.Fault{
-						Skip:  39,
-						Limit: 1,
-						OnHit: func(int) {
-							if _, err := s.Reload(); err != nil {
-								t.Errorf("mid-herd reload: %v", err)
-							}
-						},
+				for _, cacheEntries := range []int{0, 256} {
+					t.Run(fmt.Sprintf("cache=%d", cacheEntries), func(t *testing.T) {
+						herdChaos(t, reqs, oracle, workers, disruption, cacheEntries)
 					})
-				case "leaderpanic":
-					faults.Enable(flight.FaultLeader, faults.Fault{
-						PanicMsg: "chaos: leader killed mid-decode",
-						Limit:    1,
-					})
-				}
-
-				got := replay(t, s, reqs, workers)
-
-				panics := 0
-				for i, g := range got {
-					if disruption == "leaderpanic" && g.code == http.StatusInternalServerError {
-						if g.body != `{"error":"internal server error"}`+"\n" {
-							t.Fatalf("request %d: killed leader produced %q", i, g.body)
-						}
-						panics++
-						continue
-					}
-					if g.code != oracle[i].code || g.body != oracle[i].body {
-						t.Fatalf("request %d (%s %.40s): got (%d, %s), oracle (%d, %s)",
-							i, reqs[i].path, reqs[i].body, g.code, g.body, oracle[i].code, oracle[i].body)
-					}
-				}
-				switch disruption {
-				case "leaderpanic":
-					if fired := faults.Fired(flight.FaultLeader); panics != fired {
-						t.Fatalf("%d panic responses, fault fired %d times", panics, fired)
-					}
-					if panics == 0 {
-						t.Fatal("leader-kill fault never fired (mix has no miss?)")
-					}
-				case "reload":
-					if fired := faults.Fired(cache.FaultLookup); fired != 1 {
-						t.Fatalf("reload trigger fired %d times, want 1", fired)
-					}
-					if gen := s.Generation(); gen != 2 {
-						t.Fatalf("generation after mid-herd reload = %d, want 2", gen)
-					}
-					if got, want := s.ModelVersion(), "v1-rebuilt"; got != want {
-						t.Fatalf("model version = %q, want %q", got, want)
-					}
 				}
 			})
+		}
+	}
+}
+
+// herdChaos is one TestHerdChaos replay.
+func herdChaos(t *testing.T, reqs []chaosRequest, oracle []chaosResult, workers int, disruption string, cacheEntries int) {
+	defer faults.Reset()
+	cfg := Config{CacheEntries: cacheEntries, Logger: log.New(io.Discard, "", 0)}
+	if disruption == "reload" {
+		// The candidate decodes identically (same tag): the reload
+		// drills generation invalidation, and byte-identity must hold
+		// straight through it.
+		cfg.Loader = func() (Pipeline, string, error) {
+			return &countingPipe{tag: "v1"}, "v1-rebuilt", nil
+		}
+		cfg.Canary = canaryFor("v1")
+	}
+	s := NewWithConfig(&countingPipe{tag: "v1"}, nil, cfg)
+	s.SetReady(true)
+
+	switch disruption {
+	case "reload":
+		// Fire the reload from inside the herd: the 10th flight leader
+		// pulls the trigger after resolving the old generation,
+		// wherever in the request stream that lands.
+		faults.Enable(flight.FaultLeader, faults.Fault{
+			Skip:  9,
+			Limit: 1,
+			OnHit: func(int) {
+				if _, err := s.Reload(); err != nil {
+					t.Errorf("mid-herd reload: %v", err)
+				}
+			},
+		})
+	case "leaderpanic":
+		faults.Enable(flight.FaultLeader, faults.Fault{
+			PanicMsg: "chaos: leader killed mid-decode",
+			Limit:    1,
+		})
+	}
+
+	got := replay(t, s, reqs, workers)
+
+	panics := 0
+	for i, g := range got {
+		if disruption == "leaderpanic" && g.code == http.StatusInternalServerError {
+			if g.body != `{"error":"internal server error"}`+"\n" {
+				t.Fatalf("request %d: killed leader produced %q", i, g.body)
+			}
+			panics++
+			continue
+		}
+		if g != oracle[i] {
+			t.Fatalf("request %d (%s %.40s): got (%d, %s), oracle (%d, %s)",
+				i, reqs[i].path, reqs[i].body, g.code, g.body, oracle[i].code, oracle[i].body)
+		}
+	}
+	switch disruption {
+	case "leaderpanic":
+		if fired := faults.Fired(flight.FaultLeader); panics != fired {
+			t.Fatalf("%d panic responses, fault fired %d times", panics, fired)
+		}
+		if panics == 0 {
+			t.Fatal("leader-kill fault never fired (mix has no miss?)")
+		}
+	case "reload":
+		if fired := faults.Fired(flight.FaultLeader); fired != 1 {
+			t.Fatalf("reload trigger fired %d times, want 1", fired)
+		}
+		if gen := s.Generation(); gen != 2 {
+			t.Fatalf("generation after mid-herd reload = %d, want 2", gen)
+		}
+		if got, want := s.ModelVersion(), "v1-rebuilt"; got != want {
+			t.Fatalf("model version = %q, want %q", got, want)
 		}
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"slices"
 	"sort"
@@ -366,11 +365,7 @@ func (s *Server) failShard(sh *corpusShard, err error) {
 	// path, and a shard dying is evidence of the same poisoned load.
 	s.brk.Report(false)
 	if sh.healthy.CompareAndSwap(true, false) {
-		logger := s.cfg.Logger
-		if logger == nil {
-			logger = log.Default()
-		}
-		logger.Printf("corpus shard %d marked unhealthy: %v", sh.id, err)
+		s.logf("corpus shard %d marked unhealthy: %v", sh.id, err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	"recipemodel/internal/core"
 	"recipemodel/internal/persist"
+	"recipemodel/internal/quarantine"
 )
 
 // versionedPipe is a fakePipe whose annotations carry a State marker,
@@ -22,12 +24,6 @@ import (
 type versionedPipe struct {
 	fakePipe
 	marker string
-}
-
-func (v versionedPipe) AnnotateIngredient(phrase string) core.IngredientRecord {
-	r := v.fakePipe.AnnotateIngredient(phrase)
-	r.State = v.marker
-	return r
 }
 
 func (v versionedPipe) AnnotateIngredientChecked(phrase string) (core.IngredientRecord, error) {
@@ -131,6 +127,25 @@ func TestReloadRejectsCanaryFailure(t *testing.T) {
 	}
 }
 
+// TestReloadRejectsCanaryError: a candidate whose canary decode
+// returns an error is rejected with the error wrapped and the phrase
+// named, and the old model keeps serving.
+func TestReloadRejectsCanaryError(t *testing.T) {
+	s := NewWithConfig(versionedPipe{marker: "v1"}, nil, Config{
+		Canary: []core.CanaryCase{{Phrase: "panic: canary", WantName: "onion"}},
+		Loader: func() (Pipeline, string, error) {
+			return versionedPipe{marker: "v2"}, "v2", nil
+		},
+	})
+	_, err := s.Reload()
+	if !errors.Is(err, quarantine.ErrTaggerPanic) || !strings.Contains(err.Error(), `"panic: canary"`) {
+		t.Fatalf("Reload() = %v, want the tagger panic wrapped with the canary phrase", err)
+	}
+	if got := annotateState(t, s); got != "v1" {
+		t.Fatalf("serving %q after rejected reload, want v1", got)
+	}
+}
+
 // TestReloadRejectsCorruptBundle drives the real store loader against
 // a deliberately corrupted bundle: the checksum passes (the corruption
 // is in the payload the manifest describes) but the gob decode fails,
@@ -208,7 +223,7 @@ func TestReloadRejectsPanickingCandidate(t *testing.T) {
 // panicPipe simulates a structurally loadable but broken model.
 type panicPipe struct{ fakePipe }
 
-func (panicPipe) AnnotateIngredient(string) core.IngredientRecord {
+func (panicPipe) AnnotateIngredientChecked(string) (core.IngredientRecord, error) {
 	panic("corrupt weights")
 }
 

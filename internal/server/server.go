@@ -15,8 +15,9 @@
 // every handler: panic recovery (a handler bug is a 500, never process
 // death), a per-request deadline threaded through the batch pipeline
 // APIs (a dead client stops burning CPU), and weighted admission
-// control (batch requests count their phrases) that sheds excess load
-// with 429 + Retry-After instead of queueing without bound.
+// control (a batch counts its distinct uncached phrases) that sheds
+// excess load with 429 + Retry-After instead of queueing without
+// bound.
 //
 // The serving pipeline is hot-swappable: /admin/reload (or SIGHUP in
 // cmd/recipeserver) loads a candidate bundle off to the side through
@@ -28,10 +29,12 @@
 // pipeline pointer once at admission.
 //
 // Heavy-tail traffic shape (DESIGN §13): real ingredient traffic is
-// massively duplicated, so with Config.CacheEntries > 0 the annotate
-// endpoints memoize successful decodes in a sharded LRU keyed on
-// core.CanonicalKey(phrase) and coalesce concurrent misses for one
-// phrase into a single decode (internal/flight). The cache is
+// massively duplicated, so both annotate endpoints run one ladder that
+// coalesces concurrent misses for one phrase into a single decode
+// (internal/flight), decodes each distinct phrase of a batch once, and
+// — with Config.CacheEntries > 0 — memoizes successful decodes in a
+// sharded LRU keyed on core.CanonicalKey(phrase). With CacheEntries 0
+// the same code runs over a nil cache that always misses. The cache is
 // generation-pinned: each request resolves {pipeline, version,
 // generation} as one atomic unit, entries carry the generation that
 // produced them, and a hot reload bumps the generation — so a cached
@@ -81,19 +84,17 @@ var _ = faults.MustRegister(FaultServe)
 // the request context so a client disconnect or deadline stops the
 // worker-pool computation instead of leaking it.
 type Pipeline interface {
-	AnnotateIngredient(phrase string) core.IngredientRecord
 	// AnnotateIngredientChecked is the containment-aware single-phrase
-	// form behind /annotate: a poison phrase comes back as a typed
-	// quarantine error instead of an empty record, so the handler can
-	// answer 422 with a machine-readable code.
+	// form behind /annotate and the reload canary: a poison phrase
+	// comes back as a typed quarantine error instead of an empty
+	// record, so the handler can answer 422 with a machine-readable
+	// code.
 	AnnotateIngredientChecked(phrase string) (core.IngredientRecord, error)
-	// AnnotateIngredientsContext is the batch form behind
-	// /annotate/batch; implementations fan out over a worker pool,
-	// return record i for phrase i, and honor ctx cancellation.
-	AnnotateIngredientsContext(ctx context.Context, phrases []string) ([]core.IngredientRecord, error)
-	// AnnotateIngredientsPartial is the partial-result batch form: one
-	// poison phrase costs one rejection, not the batch. Slot i of the
-	// records is meaningful iff no rejection carries index i.
+	// AnnotateIngredientsPartial is the batch form behind
+	// /annotate/batch: implementations fan out over a worker pool and
+	// honor ctx cancellation, and one poison phrase costs one
+	// rejection, not the batch. Slot i of the records is meaningful iff
+	// no rejection carries index i.
 	AnnotateIngredientsPartial(ctx context.Context, phrases []string) ([]core.IngredientRecord, []quarantine.Rejection, error)
 	ModelRecipeContext(ctx context.Context, title, cuisine string, ingredientLines []string, instructions string) (*core.RecipeModel, error)
 }
@@ -102,8 +103,8 @@ type Pipeline interface {
 // limits (useful for tests that target handler logic alone).
 type Config struct {
 	// MaxInFlight caps admitted work units across all requests: a
-	// single annotate/model/search weighs 1, a batch weighs its phrase
-	// count. 0 means unlimited.
+	// single annotate/model/search weighs 1, a batch weighs its
+	// distinct uncached phrases. 0 means unlimited.
 	MaxInFlight int
 	// RequestTimeout bounds each request's context; handlers observe
 	// it through ctx and answer 503 when mining overruns. 0 disables.
@@ -120,9 +121,9 @@ type Config struct {
 	Canary []core.CanaryCase
 	// ModelVersion labels the initially served model in /readyz.
 	ModelVersion string
-	// CacheEntries bounds the annotation cache (in entries); 0
-	// disables caching and request coalescing entirely, restoring the
-	// decode-every-request behavior.
+	// CacheEntries bounds the annotation cache (in entries); 0 turns
+	// the memo off. Request coalescing and in-batch dedup do not depend
+	// on it: a nil cache always misses and never stores.
 	CacheEntries int
 	// CorpusSnapshot is the initial mined corpus served by the /query
 	// endpoints; nil disables them with a 503.
@@ -141,8 +142,8 @@ type Config struct {
 	// Rules is the deterministic fallback annotation tier (DESIGN
 	// §15). Setting it arms the full degradation ladder — CRF → cache
 	// hot-set → rules tier → shed — and the CRF-tier circuit breaker.
-	// nil disables both: annotation behavior (and bytes) match the
-	// pre-tier server exactly.
+	// nil disables both: CRF-tier failures then reject 422 or shed
+	// instead of degrading.
 	Rules RulesAnnotator
 	// RulesRoute enables the healthy-mode short circuit: phrases the
 	// rules tier annotates at >= RulesThreshold confidence are served
@@ -204,8 +205,8 @@ type Server struct {
 	// /readyz so operators can alert on poison-input rates by code.
 	quarantined quarantine.Counters
 	// cache memoizes successful ingredient decodes keyed on canonical
-	// phrase bytes; nil when Config.CacheEntries is 0 (every lookup
-	// misses and the handlers take the decode path unconditionally).
+	// phrase bytes; nil when Config.CacheEntries is 0, which every
+	// lookup reads as a miss and every store ignores.
 	cache *cache.Cache[core.IngredientRecord]
 	// flights coalesces concurrent uncached decodes of one phrase so a
 	// thundering herd costs a single decode. Keys carry the generation,
@@ -228,8 +229,7 @@ type Server struct {
 	degradedQueries atomic.Int64
 	// brk is the CRF-tier circuit breaker; nil unless Config.Rules is
 	// set (a nil breaker always admits — see internal/breaker), so
-	// the no-tier configuration cannot trip and stays byte-identical
-	// to the pre-tier server.
+	// the no-tier configuration cannot trip.
 	brk *breaker.Breaker
 	// Tier traffic counters (DESIGN §15), published on /readyz.
 	crfServed     atomic.Int64
@@ -318,11 +318,6 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 // under the generation of the pipeline that computed it.
 func (s *Server) state() pipeState { return s.pipe.Load().(pipeState) }
 
-// pipeline resolves the serving pipeline once; a handler holds the
-// same pipeline for its whole request even if a reload swaps the
-// pointer mid-flight.
-func (s *Server) pipeline() Pipeline { return s.state().pipe }
-
 // ModelVersion reports the version label of the serving pipeline.
 func (s *Server) ModelVersion() string { return s.state().version }
 
@@ -348,7 +343,10 @@ func runCanary(cand Pipeline, cases []core.CanaryCase) (err error) {
 		}
 	}()
 	for _, c := range cases {
-		rec := cand.AnnotateIngredient(c.Phrase)
+		rec, err := cand.AnnotateIngredientChecked(c.Phrase)
+		if err != nil {
+			return fmt.Errorf("canary %q: %w", c.Phrase, err)
+		}
 		if rec.Name != c.WantName {
 			return fmt.Errorf("canary %q: candidate extracted name %q, want %q", c.Phrase, rec.Name, c.WantName)
 		}
@@ -597,13 +595,10 @@ func (s *Server) logf(format string, args ...any) {
 
 // writeJSON writes v with status 200.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	writeJSONStatus(w, http.StatusOK, v)
 }
 
-// writeJSONStatus writes v as indented JSON under a non-200 status.
+// writeJSONStatus writes v as indented JSON under the given status.
 func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -670,53 +665,12 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "phrase is required")
 		return
 	}
-	if s.cache != nil {
-		s.annotateCached(w, r, req.Phrase)
-		return
-	}
-	if s.tryRouteRules(w, req.Phrase) {
-		return
-	}
-	tk := s.brk.Acquire()
-	if !tk.OK() {
-		// Breaker open: skip the CRF tier entirely.
-		s.serveRulesDegraded(w, req.Phrase)
-		return
-	}
-	release, ok := s.limiter.TryAcquire(1)
-	if !ok {
-		// Saturated: the rules rung still answers in microseconds
-		// without pipeline admission; shed only when it is absent.
-		s.brk.Cancel(tk)
-		if s.cfg.Rules != nil {
-			s.serveRulesDegraded(w, req.Phrase)
-			return
-		}
-		s.shed(w)
-		return
-	}
-	defer release()
-	rec, err := s.pipeline().AnnotateIngredientChecked(req.Phrase)
-	s.brk.Done(tk, !isCRFFailure(err))
-	if err != nil {
-		// A contained pipeline panic is the CRF tier's failure, not
-		// the input's: with a rules tier configured the request still
-		// deserves an answer. Input poison rejects 422 from any tier.
-		if isCRFFailure(err) && s.cfg.Rules != nil {
-			s.serveRulesDegraded(w, req.Phrase)
-			return
-		}
-		s.rejectPhrase(w, req.Phrase, err)
-		return
-	}
-	s.crfServed.Add(1)
-	s.maybeAudit(req.Phrase, rec)
-	writeJSON(w, rec)
+	s.annotate(w, r, req.Phrase)
 }
 
 // rejectPhrase answers the 422 quarantine payload for one phrase and
-// counts the rejection (shared by the cached and uncached paths, so
-// the response bytes are identical either way).
+// counts the rejection (shared by the CRF and rules tiers, so the
+// response bytes are identical either way).
 func (s *Server) rejectPhrase(w http.ResponseWriter, phrase string, err error) {
 	rej := quarantine.Reject(0, phrase, err)
 	s.quarantined.Observe(rej.Code)
@@ -740,20 +694,21 @@ var errShedMiss = errors.New("limiter saturated; uncached decode shed")
 // key on the raw phrase (not the canonical key): identical requests —
 // the thundering-herd shape — still coalesce perfectly, and sharing
 // only between byte-identical phrases keeps every response, including
-// error details that echo the input, byte-identical to the uncached
-// server's.
+// error details that echo the input, byte-identical to a serial
+// decode of each request.
 func flightKey(gen uint64, phrase string) string {
 	return strconv.FormatUint(gen, 10) + "\x00" + phrase
 }
 
-// annotateCached is /annotate with the heavy-tail layer in front of
-// the decode: canonical-key cache lookup (hits are served with zero
-// admission weight, even under a saturated limiter), then singleflight
-// coalescing for misses with admission paid once, by the leader,
-// inside the flight. The cached record's derived fields depend only on
-// the canonical key, so the response re-echoes this request's raw
-// phrase and is byte-identical to an uncached decode.
-func (s *Server) annotateCached(w http.ResponseWriter, r *http.Request, phrase string) {
+// annotate is the /annotate ladder: canonical-key cache lookup (hits
+// are served with zero admission weight, even under a saturated
+// limiter), healthy-mode rules routing, then singleflight coalescing
+// for misses with the breaker ticket and admission paid once, by the
+// leader, inside the flight; CRF-tier failures fall to the rules tier
+// or shed. The cached record's derived fields depend only on the
+// canonical key, so the response re-echoes this request's raw phrase
+// and is byte-identical to a fresh decode.
+func (s *Server) annotate(w http.ResponseWriter, r *http.Request, phrase string) {
 	st := s.state()
 	key, kerr := core.CanonicalKey(phrase)
 	if kerr == nil {
@@ -855,8 +810,8 @@ type batchItem struct {
 	Code   quarantine.Code        `json:"code,omitempty"`
 	Detail string                 `json:"detail,omitempty"`
 	// Tier marks a record served by a fallback tier ("rules"); absent
-	// on CRF-tier and cache-hit records, so healthy envelopes are
-	// byte-identical to the pre-tier server's.
+	// on CRF-tier and cache-hit records, so healthy envelopes carry no
+	// trace of the ladder.
 	Tier string `json:"tier,omitempty"`
 }
 
@@ -888,64 +843,16 @@ func (s *Server) handleAnnotateBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("at most %d phrases per batch", maxBatchPhrases))
 		return
 	}
-	if s.cache != nil {
-		s.annotateBatchCached(w, r, req.Phrases)
-		return
-	}
-	n := len(req.Phrases)
-	tk := s.brk.Acquire()
-	if !tk.OK() {
-		// Breaker open: the whole batch resolves on the rules tier.
-		s.finishBatchRules(w, req.Phrases, make([]core.IngredientRecord, n), make([]bool, n), nil)
-		return
-	}
-	// a batch occupies as many admission units as it has phrases, so
-	// one giant batch can't starve the interactive endpoints silently.
-	release, ok := s.limiter.TryAcquire(n)
-	if !ok {
-		s.brk.Cancel(tk)
-		if s.cfg.Rules != nil {
-			s.finishBatchRules(w, req.Phrases, make([]core.IngredientRecord, n), make([]bool, n), nil)
-			return
-		}
-		s.shed(w)
-		return
-	}
-	defer release()
-	recs, rejs, err := s.pipeline().AnnotateIngredientsPartial(r.Context(), req.Phrases)
-	if err != nil {
-		s.brk.Cancel(tk)
-		s.ctxError(w, err)
-		return
-	}
-	crfOK := batchCRFSuccess(rejs)
-	s.brk.Done(tk, crfOK)
-	if !crfOK && s.cfg.Rules != nil {
-		// Contained pipeline panics are the CRF tier's failure: those
-		// slots re-serve on the rules tier; input poison stands as 422.
-		done := make([]bool, n)
-		for i := range done {
-			done[i] = true
-		}
-		s.finishBatchRules(w, req.Phrases, recs, done, splitCRFFailures(rejs, done))
-		return
-	}
-	writeBatch(w, n, recs, rejs, &s.quarantined)
+	s.annotateBatch(w, r, req.Phrases)
 }
 
-// writeBatch assembles and writes the /annotate/batch envelope from
-// per-slot records and rejections (slot i is a rejection iff some
+// writeBatchTier assembles and writes the /annotate/batch envelope
+// from per-slot records and rejections (slot i is a rejection iff some
 // rejection carries index i), counting rejections into quarantined.
-// Shared by the cached and uncached paths so the bytes are identical.
-func writeBatch(w http.ResponseWriter, n int, recs []core.IngredientRecord, rejs []quarantine.Rejection, quarantined *quarantine.Counters) {
-	writeBatchTier(w, n, recs, rejs, quarantined, nil, false, "")
-}
-
-// writeBatchTier is writeBatch with the degradation markers: tiers[i]
-// (when non-nil) labels slot i's serving tier ("" for CRF/cache slots,
-// omitted from JSON), and degraded/tier stamp the envelope. The healthy
-// path passes nil/false/"" and produces bytes identical to the
-// pre-tier envelope via omitempty.
+// tiers[i] (when non-nil) labels slot i's serving tier ("" for
+// CRF/cache slots, omitted from JSON), and degraded/tier stamp the
+// envelope; the healthy path passes nil/false/"", which omitempty
+// drops from the bytes.
 func writeBatchTier(w http.ResponseWriter, n int, recs []core.IngredientRecord, rejs []quarantine.Rejection, quarantined *quarantine.Counters, tiers []string, degraded bool, tier string) {
 	resp := batchResponse{Results: make([]batchItem, n), Degraded: degraded, Tier: tier}
 	for i := range resp.Results {
@@ -969,23 +876,20 @@ func writeBatchTier(w http.ResponseWriter, n int, recs []core.IngredientRecord, 
 	case resp.Rejected > 0:
 		status = http.StatusMultiStatus
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	writeJSONStatus(w, status, resp)
 }
 
-// annotateBatchCached is /annotate/batch with the heavy-tail layer:
-// cached phrases are served for free, the remaining distinct phrases
-// are deduplicated (a 10k-phrase batch of "salt" decodes once) and
-// decoded through the worker-pool partial API, and admission is
-// weighed by the deduplicated miss count only — so under overload an
-// all-hot batch still answers while a cold batch sheds. Dedup is by
-// raw phrase: derived record fields depend only on the canonical key,
-// but rejection details echo the input, and byte-identity with the
-// uncached server is the differential contract.
-func (s *Server) annotateBatchCached(w http.ResponseWriter, r *http.Request, phrases []string) {
+// annotateBatch is the /annotate/batch ladder: cached phrases are
+// served for free, the remaining distinct phrases are deduplicated (a
+// 10k-phrase batch of "salt" decodes once) and decoded through the
+// worker-pool partial API, and admission is weighed by the
+// deduplicated miss count only — so under overload an all-hot batch
+// still answers while a cold batch sheds. Slots whose decode panicked
+// fall to the rules tier; input poison rejects at its slot. Dedup is
+// by raw phrase: derived record fields depend only on the canonical
+// key, but rejection details echo the input, and byte-identity with a
+// serial per-phrase decode is the differential contract.
+func (s *Server) annotateBatch(w http.ResponseWriter, r *http.Request, phrases []string) {
 	st := s.state()
 	n := len(phrases)
 	recs := make([]core.IngredientRecord, n)
@@ -1071,7 +975,8 @@ func (s *Server) annotateBatchCached(w http.ResponseWriter, r *http.Request, phr
 		}
 		// Expand the deduplicated results back onto every slot. A
 		// duplicate of a rejected phrase rejects at every slot it
-		// occupies, exactly as the uncached per-slot decode would.
+		// occupies, exactly as a per-slot decode would; a rejected slot
+		// is done, so the rules tier below never re-serves it.
 		for i, p := range phrases {
 			if done[i] {
 				continue
@@ -1086,6 +991,7 @@ func (s *Server) annotateBatchCached(w http.ResponseWriter, r *http.Request, phr
 				}
 				rej.Index = i
 				rejs = append(rejs, rej)
+				done[i] = true
 				continue
 			}
 			rec := mrecs[j]
@@ -1101,7 +1007,7 @@ func (s *Server) annotateBatchCached(w http.ResponseWriter, r *http.Request, phr
 		s.finishBatchRules(w, phrases, recs, done, rejs)
 		return
 	}
-	writeBatch(w, n, recs, rejs, &s.quarantined)
+	writeBatchTier(w, n, recs, rejs, &s.quarantined, nil, false, "")
 }
 
 // modelRequest is the /model payload.
@@ -1133,7 +1039,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	m, err := s.pipeline().ModelRecipeContext(r.Context(), req.Title, req.Cuisine, req.Ingredients, req.Instructions)
+	m, err := s.state().pipe.ModelRecipeContext(r.Context(), req.Title, req.Cuisine, req.Ingredients, req.Instructions)
 	if err != nil {
 		s.ctxError(w, err)
 		return

@@ -51,11 +51,6 @@ func (f fakePipe) wait(ctx context.Context) error {
 	}
 }
 
-func (f fakePipe) AnnotateIngredient(phrase string) core.IngredientRecord {
-	_ = f.wait(context.Background())
-	return core.IngredientRecord{Phrase: phrase, Name: "onion", Quantity: "2", Unit: "cups"}
-}
-
 // poison classifies the stub's rejection behavior: whitespace-only
 // phrases reject as empty_after_clean, a "panic:" prefix as a contained
 // tagger panic — enough taxonomy to exercise both handler paths.
@@ -75,17 +70,6 @@ func (f fakePipe) AnnotateIngredientChecked(phrase string) (core.IngredientRecor
 		return core.IngredientRecord{Phrase: phrase}, err
 	}
 	return core.IngredientRecord{Phrase: phrase, Name: "onion", Quantity: "2", Unit: "cups"}, nil
-}
-
-func (f fakePipe) AnnotateIngredientsContext(ctx context.Context, phrases []string) ([]core.IngredientRecord, error) {
-	if err := f.wait(ctx); err != nil {
-		return nil, err
-	}
-	out := make([]core.IngredientRecord, len(phrases))
-	for i, p := range phrases {
-		out[i] = core.IngredientRecord{Phrase: p, Name: "onion", Quantity: "2", Unit: "cups"}
-	}
-	return out, ctx.Err()
 }
 
 func (f fakePipe) AnnotateIngredientsPartial(ctx context.Context, phrases []string) ([]core.IngredientRecord, []quarantine.Rejection, error) {
@@ -493,9 +477,10 @@ func TestSheddingAt429(t *testing.T) {
 	}
 }
 
-// TestBatchWeightedAdmission: a batch occupies one unit per phrase, so
-// a 3-phrase batch in flight under a cap of 4 sheds the next 3-phrase
-// batch but still admits a single annotate.
+// TestBatchWeightedAdmission: a batch occupies one unit per distinct
+// phrase, so a batch of 3 distinct phrases (each twice) in flight
+// under a cap of 4 sheds the next 3-phrase batch but still admits a
+// single annotate.
 func TestBatchWeightedAdmission(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 1)
@@ -503,17 +488,17 @@ func TestBatchWeightedAdmission(t *testing.T) {
 
 	bigDone := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		bigDone <- do(t, s, http.MethodPost, "/annotate/batch", `{"phrases":["a","b","c"]}`)
+		bigDone <- do(t, s, http.MethodPost, "/annotate/batch", `{"phrases":["a","b","c","a","b","c"]}`)
 	}()
 	// one batch = one pipe call; its entered signal fires after the
-	// limiter charged the full 3-phrase weight.
+	// limiter charged the batch's 3 distinct phrases.
 	select {
 	case <-entered:
 	case <-time.After(5 * time.Second):
 		t.Fatal("batch never reached the pipe")
 	}
 	if s.limiter.InFlight() != 3 {
-		t.Fatalf("inflight = %d, want 3 (batch weight)", s.limiter.InFlight())
+		t.Fatalf("inflight = %d, want 3 (distinct phrases of the batch)", s.limiter.InFlight())
 	}
 
 	if w := do(t, s, http.MethodPost, "/annotate/batch", `{"phrases":["d","e","f"]}`); w.Code != http.StatusTooManyRequests {

@@ -18,9 +18,10 @@
 // (both run core.Sanitize under the same policy).
 //
 // Everything here is opt-in: with Config.Rules nil the breaker is nil
-// (always admits, never trips) and every annotation response is
-// byte-identical to the pre-tier server — the differential contract
-// TestTierDifferential pins.
+// (always admits, never trips), and with the breaker closed and
+// routing off every annotation response is byte-identical to a serial
+// CRF decode of the request — the differential contract
+// TestTierDifferential pins against a serial test oracle.
 package server
 
 import (
@@ -76,21 +77,6 @@ func batchCRFSuccess(rejs []quarantine.Rejection) bool {
 		}
 	}
 	return true
-}
-
-// splitCRFFailures filters a batch's rejections: panic-class slots are
-// marked undone (so the rules tier re-serves them) and dropped from
-// the rejection list; input-poison rejections stand. Filters in place.
-func splitCRFFailures(rejs []quarantine.Rejection, done []bool) []quarantine.Rejection {
-	kept := rejs[:0]
-	for _, rej := range rejs {
-		if isPanicCode(rej.Code) {
-			done[rej.Index] = false
-			continue
-		}
-		kept = append(kept, rej)
-	}
-	return kept
 }
 
 // tryRouteRules is the healthy-mode short circuit: with routing

@@ -2,15 +2,16 @@ package server
 
 // The `make tier-test` drills for the degradation ladder (DESIGN §15):
 // the differential byte-identity contract (a tier-configured server
-// with routing off answers exactly like the pre-tier server), the
+// with routing off answers exactly like the serial oracle), the
 // trip→degrade→recover chaos drill (CRF tier dead: zero 5xx, every
 // miss answers 200 tier:"rules", breaker recovers on a fake clock —
 // no sleeps anywhere), and the smaller ladder rungs: saturated misses
 // degrading instead of shedding, healthy-mode routing, mixed-batch
-// fallback, canary-rejected reloads feeding the breaker, and the
-// /readyz tiers block.
+// fallback, canary-rejected reloads feeding the breaker, the
+// cross-tier agreement audit, and the /readyz tiers block.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -78,10 +79,10 @@ func (p *switchPipe) AnnotateIngredientsPartial(ctx context.Context, phrases []s
 }
 
 // tierChaosMix is chaosMix without the panic-class phrases: contained
-// pipeline panics intentionally diverge between the tiered and plain
-// servers (200 tier:"rules" beats a 422), so the byte-identity
-// contract is stated over everything else — hot duplicates, canonical
-// variants, input poison, and batches.
+// pipeline panics intentionally diverge between a tiered server and
+// the serial oracle (200 tier:"rules" beats a 422), so the
+// byte-identity contract is stated over everything else — hot
+// duplicates, canonical variants, input poison, and batches.
 func tierChaosMix() []chaosRequest {
 	reqs := chaosMix()
 	out := reqs[:0]
@@ -97,15 +98,12 @@ func tierChaosMix() []chaosRequest {
 // TestTierDifferential pins the acceptance contract: with a rules
 // tier and breaker configured but routing off and the breaker closed,
 // every annotation response — single, batch, hit, miss, rejection —
-// is byte-identical to the pre-tier server's, cached or not, serial
-// or concurrent. The ladder must cost nothing until it is needed.
+// is byte-identical to the serial oracle's, cached or not, serial or
+// concurrent. The ladder must cost nothing until it is needed.
 func TestTierDifferential(t *testing.T) {
 	reqs := tierChaosMix()
 	quiet := log.New(io.Discard, "", 0)
-
-	oracleSrv := NewWithConfig(&countingPipe{tag: "v1"}, nil, Config{Logger: quiet})
-	oracleSrv.SetReady(true)
-	oracle := replay(t, oracleSrv, reqs, 1)
+	oracle := serialOracleAll(t, "v1", reqs)
 
 	for _, cacheEntries := range []int{0, 256} {
 		for _, workers := range []int{1, 4} {
@@ -119,7 +117,7 @@ func TestTierDifferential(t *testing.T) {
 				got := replay(t, s, reqs, workers)
 				for i := range got {
 					if got[i] != oracle[i] {
-						t.Fatalf("request %d (%s %s) diverged from the pre-tier server:\ntier:   %d %s\noracle: %d %s",
+						t.Fatalf("request %d (%s %s) diverged from the serial oracle:\ntier:   %d %s\noracle: %d %s",
 							i, reqs[i].path, reqs[i].body,
 							got[i].code, got[i].body, oracle[i].code, oracle[i].body)
 					}
@@ -149,8 +147,8 @@ type degradedAnnotation struct {
 // a cache hit for the pre-warmed hot phrase). The breaker trips on
 // the failure window, then the tier heals, the injected clock jumps
 // past the open interval, and CloseAfter probe successes close the
-// breaker — after which responses are byte-identical to a
-// never-failed oracle. No time.Sleep anywhere.
+// breaker — after which responses are byte-identical to the serial
+// oracle. No time.Sleep anywhere.
 func TestTierChaosDrill(t *testing.T) {
 	quiet := log.New(io.Discard, "", 0)
 	clk := &tierClock{now: time.Unix(1000, 0)}
@@ -171,9 +169,6 @@ func TestTierChaosDrill(t *testing.T) {
 		},
 	})
 	s.SetReady(true)
-
-	oracleSrv := NewWithConfig(&countingPipe{tag: "v1"}, nil, Config{Logger: quiet})
-	oracleSrv.SetReady(true)
 
 	// Warm the hot phrase while healthy: during the outage it must
 	// keep answering as a plain cache hit.
@@ -216,12 +211,13 @@ func TestTierChaosDrill(t *testing.T) {
 	}
 
 	// Input poison during the outage still rejects 422, identically to
-	// the healthy server (both tiers sanitize alike).
-	wOut := do(t, s, http.MethodPost, "/annotate", annotateBody("   "))
-	wOracle := do(t, oracleSrv, http.MethodPost, "/annotate", annotateBody("   "))
-	if wOut.Code != 422 || wOut.Code != wOracle.Code || wOut.Body.String() != wOracle.Body.String() {
+	// a CRF decode (both tiers sanitize alike).
+	poison := chaosRequest{path: "/annotate", body: annotateBody("   ")}
+	wOut := do(t, s, http.MethodPost, poison.path, poison.body)
+	wOracle := serialOracle(t, "v1", poison)
+	if wOut.Code != 422 || wOut.Code != wOracle.code || wOut.Body.String() != wOracle.body {
 		t.Fatalf("poison during outage diverged: %d %s vs %d %s",
-			wOut.Code, wOut.Body.String(), wOracle.Code, wOracle.Body.String())
+			wOut.Code, wOut.Body.String(), wOracle.code, wOracle.body)
 	}
 
 	// Heal and advance past the open interval: the next requests are
@@ -241,12 +237,13 @@ func TestTierChaosDrill(t *testing.T) {
 	if st.Breaker.State != "closed" || st.Breaker.Closes == 0 {
 		t.Fatalf("breaker did not recover within the probe budget: %+v", st.Breaker)
 	}
-	// Post-recovery: byte-identical to the never-failed oracle.
-	got := do(t, s, http.MethodPost, "/annotate", annotateBody("fresh after recovery"))
-	want := do(t, oracleSrv, http.MethodPost, "/annotate", annotateBody("fresh after recovery"))
-	if got.Code != want.Code || got.Body.String() != want.Body.String() {
+	// Post-recovery: byte-identical to the serial oracle.
+	fresh := chaosRequest{path: "/annotate", body: annotateBody("fresh after recovery")}
+	got := do(t, s, http.MethodPost, fresh.path, fresh.body)
+	want := serialOracle(t, "v1", fresh)
+	if got.Code != want.code || got.Body.String() != want.body {
 		t.Fatalf("post-recovery diverged:\ngot:  %d %s\nwant: %d %s",
-			got.Code, got.Body.String(), want.Code, want.Body.String())
+			got.Code, got.Body.String(), want.code, want.body)
 	}
 }
 
@@ -334,31 +331,109 @@ func TestTierRoutesHealthy(t *testing.T) {
 }
 
 // TestTierBatchMixedFallback: in a single batch, a CRF-panicking slot
-// re-serves on the rules tier (tier-marked), input poison stays a 422
-// item, and healthy slots keep their CRF records — the envelope is
-// marked degraded, status follows the usual 207 math.
+// re-serves on the rules tier (tier-marked), input poison stays one
+// 422 item counted once on /readyz, and healthy slots keep their CRF
+// records — the envelope is marked degraded, status follows the usual
+// 207 math. Cache off and on run the same ladder and must agree.
 func TestTierBatchMixedFallback(t *testing.T) {
 	quiet := log.New(io.Discard, "", 0)
-	s := NewWithConfig(fakePipe{}, nil, Config{Logger: quiet, Rules: rules.New()})
-	s.SetReady(true)
+	for _, cacheEntries := range []int{0, 256} {
+		for _, tc := range []struct {
+			phrases              []string
+			ok                   int
+			onionSlot, panicSlot int // healthy / CRF-panicking phrase (-1: none)
+		}{
+			{phrases: []string{"2 cups onion", "panic:boom", "   "}, ok: 2, onionSlot: 0, panicSlot: 1},
+			{phrases: []string{"panic:boom", "   "}, ok: 1, onionSlot: -1, panicSlot: 0},
+		} {
+			t.Run(fmt.Sprintf("cache=%d,phrases=%d", cacheEntries, len(tc.phrases)), func(t *testing.T) {
+				s := NewWithConfig(fakePipe{}, nil, Config{Logger: quiet, Rules: rules.New(), CacheEntries: cacheEntries})
+				s.SetReady(true)
 
-	b, _ := json.Marshal(map[string][]string{"phrases": {"2 cups onion", "panic:boom", "   "}})
-	w := do(t, s, http.MethodPost, "/annotate/batch", string(b))
-	if w.Code != http.StatusMultiStatus {
-		t.Fatalf("mixed batch = %d: %s", w.Code, w.Body.String())
+				b, _ := json.Marshal(map[string][]string{"phrases": tc.phrases})
+				w := do(t, s, http.MethodPost, "/annotate/batch", string(b))
+				if w.Code != http.StatusMultiStatus {
+					t.Fatalf("mixed batch = %d, want 207: %s", w.Code, w.Body.String())
+				}
+				resp := decodeBatch(t, w)
+				if !resp.Degraded || resp.Tier != "rules" || resp.OK != tc.ok || resp.Rejected != 1 {
+					t.Fatalf("envelope = %+v, want ok %d rejected 1", resp, tc.ok)
+				}
+				if tc.onionSlot >= 0 {
+					if r := resp.Results[tc.onionSlot]; r.Status != "ok" || r.Tier != "" || r.Record.Name != "onion" {
+						t.Fatalf("healthy slot = %+v", r)
+					}
+				}
+				if r := resp.Results[tc.panicSlot]; r.Status != "ok" || r.Tier != "rules" || r.Record.Phrase != "panic:boom" {
+					t.Fatalf("panic slot = %+v", r)
+				}
+				if r := resp.Results[len(tc.phrases)-1]; r.Status != "rejected" || r.Code != quarantine.CodeEmptyAfterClean {
+					t.Fatalf("poison slot = %+v", r)
+				}
+
+				var ready readyResponse
+				if err := json.Unmarshal(do(t, s, http.MethodGet, "/readyz", "").Body.Bytes(), &ready); err != nil {
+					t.Fatal(err)
+				}
+				if ready.Quarantined != 1 || ready.QuarantinedByCode[quarantine.CodeEmptyAfterClean] != 1 {
+					t.Fatalf("quarantined = %d %v, want the poison slot counted once", ready.Quarantined, ready.QuarantinedByCode)
+				}
+			})
+		}
 	}
-	resp := decodeBatch(t, w)
-	if !resp.Degraded || resp.Tier != "rules" || resp.OK != 2 || resp.Rejected != 1 {
-		t.Fatalf("envelope = %+v", resp)
+}
+
+// TestTierAgreementAudit: with AgreementSample 2, every second CRF
+// decode is re-annotated by the rules tier. The stub's "v1:"-prefixed
+// names always disagree with the rules tier, so each sampled phrase
+// the rules tier covers confidently is one disagreement, counted on
+// /readyz and logged once. An unconfident phrase is never counted as
+// sampled, even on a due tick, and a cache hit adds no tick: audits
+// run once per decode, in the flight leader.
+func TestTierAgreementAudit(t *testing.T) {
+	var logBuf bytes.Buffer
+	pipe := &countingPipe{tag: "v1"}
+	s := NewWithConfig(pipe, nil, Config{
+		Logger:          log.New(&logBuf, "", 0),
+		CacheEntries:    128,
+		Rules:           rules.New(),
+		AgreementSample: 2,
+	})
+	s.SetReady(true)
+	audit := func(phrase string) tierStatus {
+		t.Helper()
+		if w := do(t, s, http.MethodPost, "/annotate", annotateBody(phrase)); w.Code != 200 {
+			t.Fatalf("annotate %q = %d %s", phrase, w.Code, w.Body.String())
+		}
+		var ready readyResponse
+		if err := json.Unmarshal(do(t, s, http.MethodGet, "/readyz", "").Body.Bytes(), &ready); err != nil {
+			t.Fatal(err)
+		}
+		return ready.Tiers
 	}
-	if r := resp.Results[0]; r.Status != "ok" || r.Tier != "" || r.Record.Name != "onion" {
-		t.Fatalf("healthy slot = %+v", r)
+	for _, step := range []struct {
+		phrase                 string
+		sampled, disagreements int64
+	}{
+		{"2 cups onion", 0, 0},    // tick 1
+		{"1 tbsp butter", 1, 1},   // tick 2: sampled
+		{"2 cups onion", 1, 1},    // cache hit: no tick
+		{"2 eggs", 1, 1},          // tick 3 (a due 4 had the hit ticked)
+		{"1 tsp salt", 2, 2},      // tick 4: sampled
+		{"wibbly wobble", 2, 2},   // tick 5
+		{"glorbified zork", 2, 2}, // tick 6: due, but confidence 0
+	} {
+		st := audit(step.phrase)
+		if st.AgreementSampled != step.sampled || st.Disagreements != step.disagreements {
+			t.Fatalf("after %q: sampled %d disagreements %d, want %d and %d",
+				step.phrase, st.AgreementSampled, st.Disagreements, step.sampled, step.disagreements)
+		}
 	}
-	if r := resp.Results[1]; r.Status != "ok" || r.Tier != "rules" || r.Record.Phrase != "panic:boom" {
-		t.Fatalf("panic slot = %+v", r)
+	if got := pipe.decodes.Load(); got != 6 {
+		t.Fatalf("decodes = %d, want 6 (one per distinct phrase)", got)
 	}
-	if r := resp.Results[2]; r.Status != "rejected" || r.Code != quarantine.CodeEmptyAfterClean {
-		t.Fatalf("poison slot = %+v", r)
+	if got := strings.Count(logBuf.String(), "tier disagreement"); got != 2 {
+		t.Fatalf("logged %d disagreements, want 2:\n%s", got, logBuf.String())
 	}
 }
 
