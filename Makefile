@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race verify lint staticcheck bench bench-parallel bench-smoke bench-baseline bench-compare bench-tiers profile tables crash-test poison-test herd-test tier-test query-chaos-test fuzz-smoke clean
+.PHONY: build vet test test-race verify lint staticcheck bench bench-parallel bench-smoke bench-tiers profile tables crash-test poison-test herd-test tier-test query-chaos-test fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -63,29 +63,6 @@ bench-parallel:
 bench-smoke:
 	$(GO) test . -run '^$$' -bench 'AnnotateCorpusSerial|CRFDecode|Tokenizer|POSTagger' -benchtime 1x
 	$(GO) test ./internal/ner ./internal/crf ./internal/postag ./internal/tokenize ./internal/similarity ./internal/snapshot -run '^$$' -bench . -benchtime 1x
-
-# Compare HEAD's hot-path throughput against a saved baseline.
-#   make bench-baseline   # record the current numbers
-#   ...hack...
-#   make bench-compare    # re-run and print old vs new side by side
-# The baseline lives in /tmp by default (BENCH_BASELINE=path to
-# override) — it is machine-specific and should not be committed;
-# BENCH_PR*.json are the curated, committed snapshots.
-BENCH_BASELINE ?= /tmp/recipemodel-bench-baseline.txt
-BENCH_PATTERN  ?= AnnotateCorpusSerial|AnnotateCorpusParallel|CRFDecode
-bench-baseline:
-	$(GO) test . -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 10x | tee $(BENCH_BASELINE)
-
-bench-compare:
-	@test -f $(BENCH_BASELINE) || { echo "no baseline at $(BENCH_BASELINE); run 'make bench-baseline' first"; exit 1; }
-	$(GO) test . -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 10x | tee /tmp/recipemodel-bench-head.txt
-	@echo "--- baseline ($(BENCH_BASELINE)) vs HEAD ---"
-	@grep '^Benchmark' $(BENCH_BASELINE) | while read -r line; do \
-		name=$$(echo "$$line" | awk '{print $$1}'); \
-		new=$$(grep "^$$name " /tmp/recipemodel-bench-head.txt || true); \
-		echo "old: $$line"; \
-		echo "new: $$new"; \
-	done
 
 # CPU + heap profile of an end-to-end mining run (train + mine). Open
 # with: go tool pprof cpu.prof (or mem.prof). See README "Profiling".

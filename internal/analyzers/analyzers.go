@@ -128,6 +128,9 @@ var deterministicPkgs = map[string]bool{
 	// The same corpus must publish byte-identical snapshot segments:
 	// a string table emitted in map order would change every digest.
 	"snapshot": true,
+	// The embedded default tagger must regenerate to identical bytes:
+	// a feature list written in map order would change them.
+	"postag": true,
 }
 
 // durablePkgs are the packages that persist durable artifacts and so

@@ -25,6 +25,7 @@ package analyzers
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -100,8 +101,9 @@ type rawPkg struct {
 
 // LoadTree parses and type-checks every package under root, assigning
 // import path basePath for root itself and basePath/<rel> for
-// subdirectories. Directories named testdata or vendor, and entries
-// starting with "." or "_", are skipped, mirroring the go tool.
+// subdirectories. Directories named testdata or vendor, entries
+// starting with "." or "_", and files the default build context's
+// constraints exclude are skipped, mirroring the go tool.
 func LoadTree(root, basePath string) (*token.FileSet, []*Package, error) {
 	fset := token.NewFileSet()
 	raw := map[string]*rawPkg{} // import path → package
@@ -157,6 +159,16 @@ func parseDir(fset *token.FileSet, dir, root, basePath string) (*rawPkg, error) 
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		// Build constraints decide membership as they do for the go
+		// tool: a `//go:build ignore` generator (package main beside
+		// the package it generates for) is not part of the package.
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)

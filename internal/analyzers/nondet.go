@@ -1,6 +1,6 @@
 // The nondeterminism rule. The paper's pipeline promises bit-identical
 // output for a fixed seed — parallel == serial, resume == fresh — so
-// the modeling packages (core, crf, cluster, ner, perceptron,
+// the modeling packages (core, crf, cluster, ner, perceptron, postag,
 // depparse, experiments, rules, similarity) and the snapshot codec
 // must never consult a wall clock, draw from the global math/rand
 // source, or let Go's randomized map iteration order leak into

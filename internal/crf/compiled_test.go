@@ -120,7 +120,7 @@ func BenchmarkCompiledDecodeIDs(b *testing.B) {
 
 func BenchmarkMapDecode(b *testing.B) {
 	// the pre-compile baseline decoder on the same shape, for the
-	// speedup ratio in BENCH_PR6.json.
+	// compiled decoder's speedup ratio recorded in CHANGES.md.
 	rng := rand.New(rand.NewSource(3))
 	m := packedRandModel(rng, 15, 5000)
 	feats := make([][]string, 10)

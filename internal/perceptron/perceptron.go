@@ -6,6 +6,10 @@
 package perceptron
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 )
@@ -182,6 +186,89 @@ func (m *Model) Train(examples []Example, cfg TrainConfig) []float64 {
 
 // FeatureCount returns the number of distinct features seen.
 func (m *Model) FeatureCount() int { return len(m.weights) }
+
+// Features returns every feature the model holds weights for, sorted.
+func (m *Model) Features() []string {
+	fs := make([]string, 0, len(m.weights))
+	for f := range m.weights {
+		fs = append(fs, f)
+	}
+	sort.Strings(fs)
+	return fs
+}
+
+// Weights returns a feature's weight row, one weight per class, or nil
+// for an unseen feature. The row is the model's own; do not modify it.
+func (m *Model) Weights(feature string) []float64 { return m.weights[feature] }
+
+// wireModel is the gob wire form of an averaged model. Weights[i] is
+// the row of Features[i]; sorting the features is what makes the same
+// weights encode to the same bytes, where a gob-encoded map would
+// follow Go's randomized map order.
+type wireModel struct {
+	Classes  []string
+	Features []string
+	Weights  [][]float64
+}
+
+// MarshalBinary encodes an averaged model with encoding/gob. Only the
+// averaged weights are meaningful at inference time, so a model that
+// has not been averaged is an error. Encoding the same weights twice
+// gives the same bytes; gob numbers types in the order a process first
+// encodes them, so a process that gob-encoded other types first may
+// write different, equally decodable bytes.
+func (m *Model) MarshalBinary() ([]byte, error) {
+	if !m.frozen {
+		return nil, errors.New("perceptron: MarshalBinary before Average")
+	}
+	w := wireModel{Classes: m.Classes, Features: m.Features()}
+	w.Weights = make([][]float64, len(w.Features))
+	for i, f := range w.Features {
+		w.Weights[i] = m.weights[f]
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
+		return nil, fmt.Errorf("perceptron: encode: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// UnmarshalBinary replaces m with the averaged model MarshalBinary
+// encoded in data, frozen. It rejects trailing bytes, features that
+// are not strictly sorted, and weight rows that do not hold one weight
+// per class: gob accepts any shapes, and a long row would otherwise
+// panic with an index out of range in Scores while a short one would
+// silently score the missing classes zero.
+func (m *Model) UnmarshalBinary(data []byte) error {
+	r := bytes.NewReader(data)
+	var w wireModel
+	if err := gob.NewDecoder(r).Decode(&w); err != nil {
+		return fmt.Errorf("perceptron: decode: %w", err)
+	}
+	if r.Len() != 0 {
+		return fmt.Errorf("perceptron: %d trailing bytes after the model", r.Len())
+	}
+	n := len(w.Classes)
+	if n == 0 {
+		return errors.New("perceptron: model has no classes")
+	}
+	if len(w.Weights) != len(w.Features) {
+		return fmt.Errorf("perceptron: %d weight rows for %d features", len(w.Weights), len(w.Features))
+	}
+	weights := make(map[string][]float64, len(w.Features))
+	for i, f := range w.Features {
+		if i > 0 && f <= w.Features[i-1] {
+			return fmt.Errorf("perceptron: feature %q out of order after %q", f, w.Features[i-1])
+		}
+		if len(w.Weights[i]) != n {
+			return fmt.Errorf("perceptron: feature %q has %d weights, want %d", f, len(w.Weights[i]), n)
+		}
+		weights[f] = w.Weights[i]
+	}
+	*m = *New(w.Classes)
+	m.weights, m.totals, m.stamps, m.frozen = weights, nil, nil, true
+	return nil
+}
 
 // TopFeatures returns up to n (feature, weight) pairs with the largest
 // absolute weight for a class — useful for model inspection.

@@ -1,6 +1,9 @@
 package postag
 
 import (
+	_ "embed"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -8,11 +11,10 @@ import (
 )
 
 // Tagger is a greedy left-to-right averaged-perceptron POS tagger.
+// Its classes are the 36 PTB tags in PTBTags order; punctuation is
+// tagged deterministically before the model runs.
 type Tagger struct {
 	model *perceptron.Model
-	// classes holds the tag inventory in model order (the 36 PTB tags;
-	// punctuation is handled deterministically before the model runs).
-	classes []string
 }
 
 // TrainConfig controls tagger training.
@@ -23,8 +25,7 @@ type TrainConfig struct {
 
 // Train fits a tagger on the given gold-tagged corpus.
 func Train(corpus []TaggedSentence, cfg TrainConfig) *Tagger {
-	t := &Tagger{classes: append([]string(nil), PTBTags...)}
-	t.model = perceptron.New(t.classes)
+	t := &Tagger{model: perceptron.New(PTBTags)}
 
 	var examples []perceptron.Example
 	for _, sent := range corpus {
@@ -166,16 +167,55 @@ func shape(w string) string {
 	return b.String()
 }
 
+// MarshalBinary encodes the tagger's averaged perceptron
+// (perceptron.Model.MarshalBinary).
+func (t *Tagger) MarshalBinary() ([]byte, error) { return t.model.MarshalBinary() }
+
+// decodeTagger decodes a tagger MarshalBinary encoded and checks that
+// its classes are PTBTags, the order Tag and Vectorize assume.
+func decodeTagger(data []byte) (*Tagger, error) {
+	m := new(perceptron.Model)
+	if err := m.UnmarshalBinary(data); err != nil {
+		return nil, err
+	}
+	if !slices.Equal(m.Classes, PTBTags) {
+		return nil, fmt.Errorf("postag: model classes %v are not the PTB tags", m.Classes)
+	}
+	return &Tagger{model: m}, nil
+}
+
+// TrainDefault trains the default tagger: the embedded corpus, five
+// epochs, seed 1. It is the one place that configuration lives;
+// Default serves the same weights without training.
+func TrainDefault() *Tagger {
+	return Train(Corpus(), TrainConfig{Epochs: 5, Seed: 1})
+}
+
+// defaultModel holds TrainDefault's weights as MarshalBinary encodes
+// them. After changing the corpus, the feature templates or
+// internal/perceptron, regenerate it with `go generate
+// ./internal/postag`; TestDefaultTaggerMatchesTraining fails until
+// then.
+//
+//go:generate go run gen_default.go
+//go:embed default_tagger.gob
+var defaultModel []byte
+
 var (
 	defaultOnce   sync.Once
 	defaultTagger *Tagger
 )
 
-// Default returns the package-level tagger trained once on the
-// embedded corpus. It is safe for concurrent use after construction.
+// Default returns the package-level tagger, decoded once from the
+// embedded default_tagger.gob: TrainDefault's tagger, weight for
+// weight, without the training. It is safe for concurrent use.
 func Default() *Tagger {
 	defaultOnce.Do(func() {
-		defaultTagger = Train(Corpus(), TrainConfig{Epochs: 5, Seed: 1})
+		t, err := decodeTagger(defaultModel)
+		if err != nil {
+			panic(fmt.Sprintf("postag: embedded default tagger: %v (regenerate it with `go generate ./internal/postag`)", err))
+		}
+		defaultTagger = t
 	})
 	return defaultTagger
 }
