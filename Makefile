@@ -59,10 +59,12 @@ bench-parallel:
 
 # One-iteration pass over the hot-path benchmarks: catches a benchmark
 # that no longer compiles or crashes without paying full measurement
-# cost. CI runs this on every push.
+# cost. CI runs this on every push. The internal/server pair covers the
+# annotate endpoints' cached batch and single-hit response paths.
 bench-smoke:
 	$(GO) test . -run '^$$' -bench 'AnnotateCorpusSerial|CRFDecode|Tokenizer|POSTagger' -benchtime 1x
 	$(GO) test ./internal/ner ./internal/crf ./internal/postag ./internal/tokenize ./internal/similarity ./internal/snapshot -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/server -run '^$$' -bench 'BatchHeavyTailCached|AnnotateHotHitCached' -benchtime 1x
 
 # CPU + heap profile of an end-to-end mining run (train + mine). Open
 # with: go tool pprof cpu.prof (or mem.prof). See README "Profiling".
@@ -126,8 +128,9 @@ query-chaos-test:
 
 # Short fuzz passes over the model-load boundary, the end-to-end
 # annotate path (arbitrary bytes through sanitizer, tagger, parser),
-# the snapshot manifest/segment loader, and the snapshot segment
-# decoder with its warm-reuse path — enough to catch a hardening
+# the snapshot manifest/segment loader, the snapshot segment decoder
+# with its warm-reuse path, and the annotate response writer's string
+# escaping against encoding/json — enough to catch a hardening
 # regression in CI without a long budget.
 fuzz-smoke:
 	$(GO) test ./internal/persist -run '^$$' -fuzz 'FuzzLoadBundle' -fuzztime 15s
@@ -136,6 +139,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz 'FuzzAnnotateInstruction' -fuzztime 15s
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz 'FuzzLoadSnapshot' -fuzztime 15s
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz 'FuzzLoadSegment' -fuzztime 15s
+	$(GO) test ./internal/server -run '^$$' -fuzz 'FuzzAppendJSONString' -fuzztime 15s
 
 # Rules-tier vs CRF-tier score card (DESIGN §15/§16): per-tier entity
 # F1 and single-goroutine phrases/sec on the shared gold ingredient

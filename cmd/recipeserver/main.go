@@ -10,9 +10,13 @@
 //	recipeserver -store models/ -corpus 0    # versioned store + hot reload
 //
 // Endpoints: POST /annotate, POST /annotate/batch, POST /model,
-// POST /search, POST /admin/reload (hot model swap, -store only),
-// GET /healthz (liveness), GET /readyz (readiness + reload state —
-// true only once training and corpus indexing finish).
+// POST /search, POST /query/similar, /query/search and
+// /query/nutrition (-snapshots only), POST /admin/reload (hot model
+// swap, -store only), POST /admin/reload/corpus (snapshot hot-swap,
+// -snapshots only), GET /healthz (liveness), GET /readyz (readiness +
+// reload state — true only once training and corpus indexing finish).
+// The internal/server package comment gives each endpoint's request
+// and response shape.
 //
 // Resilience posture: the http.Server runs with hardened read/write
 // timeouts (a stalled client cannot hold a connection forever), the

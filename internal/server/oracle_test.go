@@ -5,8 +5,52 @@ import (
 	"net/http"
 	"testing"
 
+	"recipemodel/internal/core"
 	"recipemodel/internal/quarantine"
 )
+
+// The annotate endpoints' reference shapes: encoding/json's indented
+// encoding of these types, plus a newline, is the response body the
+// server's hand-written writer (respond.go) must reproduce byte for
+// byte. They live with the oracle, not the server, so the oracle shares
+// no writer code with the endpoints it checks.
+
+// batchItem is one per-phrase result in a /annotate/batch response:
+// either an annotated record or a typed rejection. Item i answers
+// phrase i.
+type batchItem struct {
+	Status string                 `json:"status"` // "ok" or "rejected"
+	Record *core.IngredientRecord `json:"record,omitempty"`
+	Code   quarantine.Code        `json:"code,omitempty"`
+	Detail string                 `json:"detail,omitempty"`
+	// Tier marks a record served by a fallback tier ("rules"); absent
+	// on CRF-tier and cache-hit records, so healthy envelopes carry no
+	// trace of the ladder.
+	Tier string `json:"tier,omitempty"`
+}
+
+// batchResponse is the /annotate/batch payload: per-item statuses plus
+// roll-up counts. The HTTP status follows the 207 Multi-Status idea:
+// 200 when every phrase annotated, 207 on a mix, 422 when every phrase
+// was rejected.
+type batchResponse struct {
+	Results  []batchItem `json:"results"`
+	OK       int         `json:"ok"`
+	Rejected int         `json:"rejected"`
+	// Degraded/Tier mark an envelope with at least one slot answered
+	// by a fallback tier (DESIGN §15); omitted on healthy responses.
+	Degraded bool   `json:"degraded,omitempty"`
+	Tier     string `json:"tier,omitempty"`
+}
+
+// tierRecord is the degraded /annotate payload: the rules-tier record
+// with the degradation markers appended, so clients that only read
+// the record fields parse both shapes identically.
+type tierRecord struct {
+	core.IngredientRecord
+	Degraded bool   `json:"degraded"`
+	Tier     string `json:"tier"`
+}
 
 // serialOracle is the reference the differential tests hold the
 // annotate endpoints to: it answers req the plain way, decoding each

@@ -2,13 +2,18 @@
 // API — the deployment form of the paper's own artifact (RecipeDB is a
 // web resource [1]). Endpoints:
 //
-//	POST /annotate       {"phrase": "..."}                  → IngredientRecord
-//	POST /annotate/batch {"phrases": ["...", ...]}          → []IngredientRecord (worker-pool fan-out)
-//	POST /model          {"title","cuisine","ingredients":[],"instructions":""} → RecipeModel + nutrition
-//	POST /search         {"ingredients":[],"processes":[],...} → matching recipe titles
-//	POST /admin/reload                                       → validated hot model reload
-//	GET  /healthz                                            → 200 ok (liveness)
-//	GET  /readyz                                             → 200 ready / 503 starting (readiness + reload state)
+//	POST /annotate            {"phrase": "..."}             → IngredientRecord (422 on poison input)
+//	POST /annotate/batch      {"phrases": ["...", ...]}     → {"results":[...],"ok":n,"rejected":m[,"degraded":true,"tier":"rules"]},
+//	                                                           200 all ok / 207 mixed / 422 all rejected (worker-pool fan-out)
+//	POST /model               {"title","cuisine","ingredients":[],"instructions":""} → RecipeModel + nutrition
+//	POST /search              {"ingredients":[],"processes":[],...} → matching recipe titles
+//	POST /query/similar       {"id": 12, "k": 5}            → top-K similar corpus recipes (query.go)
+//	POST /query/search        index.Query JSON              → matching corpus recipes
+//	POST /query/nutrition     {"ids": [3, 7]}               → per-recipe nutrition profiles
+//	POST /admin/reload                                      → validated hot model reload
+//	POST /admin/reload/corpus                               → validated corpus snapshot hot-swap
+//	GET  /healthz                                           → 200 ok (liveness)
+//	GET  /readyz                                            → 200 ready / 503 starting (readiness + reload state)
 //
 // The server owns a trained pipeline and, optionally, an indexed
 // corpus for /search, and composes the resilience layer in front of
@@ -598,7 +603,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 	writeJSONStatus(w, http.StatusOK, v)
 }
 
-// writeJSONStatus writes v as indented JSON under the given status.
+// writeJSONStatus writes v as two-space indented JSON plus a newline
+// under the given status. The annotate endpoints write the same framing
+// with the append writer in respond.go instead of reflection; every
+// other endpoint's body comes from here.
 func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -717,7 +725,7 @@ func (s *Server) annotate(w http.ResponseWriter, r *http.Request, phrase string)
 				s.degradedHits.Add(1)
 			}
 			rec.Phrase = phrase
-			writeJSON(w, rec)
+			writeRecord(w, &rec, false)
 			return
 		}
 	}
@@ -766,7 +774,7 @@ func (s *Server) annotate(w http.ResponseWriter, r *http.Request, phrase string)
 	case err == nil:
 		s.crfServed.Add(1)
 		rec.Phrase = phrase
-		writeJSON(w, rec)
+		writeRecord(w, &rec, false)
 	case errors.Is(err, errCRFOpen):
 		s.serveRulesDegraded(w, phrase)
 	case errors.Is(err, errShedMiss):
@@ -801,34 +809,6 @@ type batchAnnotateRequest struct {
 // clients should stream chunks of this size.
 const maxBatchPhrases = 10000
 
-// batchItem is one per-phrase result in a /annotate/batch response:
-// either an annotated record or a typed rejection. Item i answers
-// phrase i.
-type batchItem struct {
-	Status string                 `json:"status"` // "ok" or "rejected"
-	Record *core.IngredientRecord `json:"record,omitempty"`
-	Code   quarantine.Code        `json:"code,omitempty"`
-	Detail string                 `json:"detail,omitempty"`
-	// Tier marks a record served by a fallback tier ("rules"); absent
-	// on CRF-tier and cache-hit records, so healthy envelopes carry no
-	// trace of the ladder.
-	Tier string `json:"tier,omitempty"`
-}
-
-// batchResponse is the /annotate/batch payload: per-item statuses plus
-// roll-up counts. The HTTP status follows the 207 Multi-Status idea:
-// 200 when every phrase annotated, 207 on a mix, 422 when every phrase
-// was rejected.
-type batchResponse struct {
-	Results  []batchItem `json:"results"`
-	OK       int         `json:"ok"`
-	Rejected int         `json:"rejected"`
-	// Degraded/Tier mark an envelope with at least one slot answered
-	// by a fallback tier (DESIGN §15); omitted on healthy responses.
-	Degraded bool   `json:"degraded,omitempty"`
-	Tier     string `json:"tier,omitempty"`
-}
-
 func (s *Server) handleAnnotateBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchAnnotateRequest
 	if !decode(w, r, &req) {
@@ -844,39 +824,6 @@ func (s *Server) handleAnnotateBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.annotateBatch(w, r, req.Phrases)
-}
-
-// writeBatchTier assembles and writes the /annotate/batch envelope
-// from per-slot records and rejections (slot i is a rejection iff some
-// rejection carries index i), counting rejections into quarantined.
-// tiers[i] (when non-nil) labels slot i's serving tier ("" for
-// CRF/cache slots, omitted from JSON), and degraded/tier stamp the
-// envelope; the healthy path passes nil/false/"", which omitempty
-// drops from the bytes.
-func writeBatchTier(w http.ResponseWriter, n int, recs []core.IngredientRecord, rejs []quarantine.Rejection, quarantined *quarantine.Counters, tiers []string, degraded bool, tier string) {
-	resp := batchResponse{Results: make([]batchItem, n), Degraded: degraded, Tier: tier}
-	for i := range resp.Results {
-		rec := recs[i]
-		item := batchItem{Status: "ok", Record: &rec}
-		if tiers != nil {
-			item.Tier = tiers[i]
-		}
-		resp.Results[i] = item
-	}
-	for _, rej := range rejs {
-		quarantined.Observe(rej.Code)
-		resp.Results[rej.Index] = batchItem{Status: "rejected", Code: rej.Code, Detail: rej.Detail}
-	}
-	resp.Rejected = len(rejs)
-	resp.OK = n - resp.Rejected
-	status := http.StatusOK
-	switch {
-	case resp.OK == 0:
-		status = http.StatusUnprocessableEntity
-	case resp.Rejected > 0:
-		status = http.StatusMultiStatus
-	}
-	writeJSONStatus(w, status, resp)
 }
 
 // annotateBatch is the /annotate/batch ladder: cached phrases are
@@ -1007,7 +954,7 @@ func (s *Server) annotateBatch(w http.ResponseWriter, r *http.Request, phrases [
 		s.finishBatchRules(w, phrases, recs, done, rejs)
 		return
 	}
-	writeBatchTier(w, n, recs, rejs, &s.quarantined, nil, false, "")
+	s.writeBatchTier(w, recs, rejs, nil)
 }
 
 // modelRequest is the /model payload.

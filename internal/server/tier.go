@@ -46,15 +46,6 @@ type RulesAnnotator interface {
 // rules tier.
 var errCRFOpen = errors.New("crf tier circuit open")
 
-// tierRecord is the degraded /annotate payload: the rules-tier record
-// with the degradation markers appended, so clients that only read
-// the record fields parse both shapes identically.
-type tierRecord struct {
-	core.IngredientRecord
-	Degraded bool   `json:"degraded"`
-	Tier     string `json:"tier"`
-}
-
 // isCRFFailure classifies a decode error as a CRF-tier failure (a
 // contained pipeline panic) as opposed to input poison. Only tier
 // failures feed the breaker window.
@@ -96,7 +87,7 @@ func (s *Server) tryRouteRules(w http.ResponseWriter, phrase string) bool {
 	}
 	rec.Phrase = phrase
 	s.rulesRouted.Add(1)
-	writeJSON(w, rec)
+	writeRecord(w, &rec, false)
 	return true
 }
 
@@ -116,7 +107,7 @@ func (s *Server) serveRulesDegraded(w http.ResponseWriter, phrase string) {
 	}
 	rec.Phrase = phrase
 	s.rulesDegraded.Add(1)
-	writeJSON(w, tierRecord{IngredientRecord: rec, Degraded: true, Tier: "rules"})
+	writeRecord(w, &rec, true)
 }
 
 // finishBatchRules resolves every unfinished slot of a batch through
@@ -140,10 +131,10 @@ func (s *Server) finishBatchRules(w http.ResponseWriter, phrases []string, recs 
 		}
 		rec.Phrase = p
 		recs[i] = rec
-		tiers[i] = "rules"
+		tiers[i] = rulesTier
 		s.rulesDegraded.Add(1)
 	}
-	writeBatchTier(w, len(phrases), recs, rejs, &s.quarantined, tiers, true, "rules")
+	s.writeBatchTier(w, recs, rejs, tiers)
 }
 
 // maybeAudit runs the sampled cross-tier agreement check: every

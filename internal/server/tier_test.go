@@ -134,13 +134,6 @@ func TestTierDifferential(t *testing.T) {
 	}
 }
 
-// degradedAnnotation is the tierRecord read-side for assertions.
-type degradedAnnotation struct {
-	core.IngredientRecord
-	Degraded bool   `json:"degraded"`
-	Tier     string `json:"tier"`
-}
-
 // TestTierChaosDrill is the trip→degrade→recover acceptance drill:
 // the CRF tier is switched dead, a burst of uncached phrases arrives,
 // and not one answers 5xx or 429 — every one is 200 tier:"rules" (or
@@ -183,7 +176,7 @@ func TestTierChaosDrill(t *testing.T) {
 		if w.Code != 200 {
 			t.Fatalf("outage request %d = %d (never-500 broken): %s", i, w.Code, w.Body.String())
 		}
-		var resp degradedAnnotation
+		var resp tierRecord
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("outage request %d: %v", i, err)
 		}
@@ -270,7 +263,7 @@ func TestTierSaturatedMissServesRules(t *testing.T) {
 	if w.Code != 200 {
 		t.Fatalf("saturated miss = %d, want 200 from the rules tier: %s", w.Code, w.Body.String())
 	}
-	var resp degradedAnnotation
+	var resp tierRecord
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
