@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"recipemodel/internal/core"
-	"recipemodel/internal/persist"
 	"recipemodel/internal/relations"
 	"recipemodel/internal/snapshot"
 )
@@ -150,7 +149,11 @@ func writeJSONLStore(t *testing.T, storeDir string, models []*core.RecipeModel, 
 	if err := os.WriteFile(filepath.Join(verDir, "MANIFEST.json"), append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := persist.WriteCurrentPointer(storeDir, "v000001"); err != nil {
+	st, err := snapshot.OpenStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetCurrent("v000001"); err != nil {
 		t.Fatal(err)
 	}
 }

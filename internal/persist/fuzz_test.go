@@ -3,7 +3,6 @@ package persist
 import (
 	"bytes"
 	"encoding/gob"
-	"strings"
 	"testing"
 
 	"recipemodel/internal/ner"
@@ -77,30 +76,6 @@ func FuzzLoadBundle(f *testing.F) {
 	})
 }
 
-// FuzzLoadTagger is the single-tagger variant of the same contract.
-func FuzzLoadTagger(f *testing.F) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(savedTagger{
-		Task: TaskIngredient, Options: ner.DefaultFeatureOptions, CRF: tinyCRF(),
-	}); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/3])
-	f.Add([]byte("junk"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tg, err := LoadTagger(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		tokens := []string{"1", "cup", "sugar"}
-		if got := tg.PredictTags(tokens); len(got) != len(tokens) {
-			t.Fatalf("predicted %d labels for %d tokens", len(got), len(tokens))
-		}
-	})
-}
-
 // The regression cases below pin the corruption classes the fuzz
 // targets cover, so plain `go test` exercises them without -fuzz.
 
@@ -140,22 +115,5 @@ func TestLoadBundleTinyValid(t *testing.T) {
 	}
 	if got := ins.PredictTags([]string{"boil"}); len(got) != 1 {
 		t.Fatalf("instruction predict: %v", got)
-	}
-}
-
-func TestLoadTaggerBadDimensions(t *testing.T) {
-	c := tinyCRF()
-	c.TransEnd = nil
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(savedTagger{
-		Task: TaskIngredient, Options: ner.DefaultFeatureOptions, CRF: c,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTagger(&buf); err == nil {
-		t.Fatal("inconsistent tagger decoded without error")
-	}
-	if _, err := LoadTagger(strings.NewReader("")); err == nil {
-		t.Fatal("empty stream decoded without error")
 	}
 }

@@ -1,14 +1,18 @@
-// Package persist serializes trained models so a pipeline can be
-// trained once and shipped: the CRF weights travel as gob; feature
-// extractors (closures) are reconstructed from a recorded task name
-// and feature options on load.
+// Package persist ships trained models and owns the versioned-store
+// protocol both durable artifacts publish through. A pipeline is
+// trained once and shipped as a bundle: the CRF weights travel as gob;
+// feature extractors (closures) are reconstructed from a recorded task
+// name and feature options on load. Bundles deploy through the
+// versioned model store (store.go), which, like the corpus snapshot
+// store in internal/snapshot, is a typed codec over the one version
+// protocol in versions.go: version naming, staged install, the CURRENT
+// pointer, and size-then-sha256 verification.
 package persist
 
 import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 
 	"recipemodel/internal/crf"
 	"recipemodel/internal/ner"
@@ -125,29 +129,6 @@ func compile(t *ner.Tagger, task Task, opts ner.FeatureOptions) (*ner.Tagger, er
 	return t, nil
 }
 
-// SaveTagger writes one tagger.
-func SaveTagger(w io.Writer, t *ner.Tagger, task Task, opts ner.FeatureOptions) error {
-	enc := gob.NewEncoder(w)
-	return enc.Encode(savedTagger{Task: task, Options: opts, CRF: toSavedCRF(t.Model)})
-}
-
-// LoadTagger reads one tagger.
-func LoadTagger(r io.Reader) (*ner.Tagger, error) {
-	var s savedTagger
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("persist: decode tagger: %w", err)
-	}
-	ex, err := extractorFor(s.Task, s.Options)
-	if err != nil {
-		return nil, err
-	}
-	m, err := fromSavedCRF(s.CRF)
-	if err != nil {
-		return nil, err
-	}
-	return compile(ner.FromModel(m, ex), s.Task, s.Options)
-}
-
 // SaveBundle writes an ingredient + instruction tagger pair.
 func SaveBundle(w io.Writer, ingredient, instruction *ner.Tagger, opts ner.FeatureOptions) error {
 	b := savedBundle{
@@ -167,60 +148,25 @@ func LoadBundle(r io.Reader) (ingredient, instruction *ner.Tagger, err error) {
 	if b.Version != wireVersion {
 		return nil, nil, fmt.Errorf("persist: unsupported version %d", b.Version)
 	}
-	exIng, err := extractorFor(b.Ingredient.Task, b.Ingredient.Options)
-	if err != nil {
+	if ingredient, err = decodeTagger(b.Ingredient); err != nil {
 		return nil, nil, fmt.Errorf("ingredient tagger: %w", err)
 	}
-	exIns, err := extractorFor(b.Instruction.Task, b.Instruction.Options)
-	if err != nil {
-		return nil, nil, fmt.Errorf("instruction tagger: %w", err)
-	}
-	mIng, err := fromSavedCRF(b.Ingredient.CRF)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ingredient tagger: %w", err)
-	}
-	mIns, err := fromSavedCRF(b.Instruction.CRF)
-	if err != nil {
-		return nil, nil, fmt.Errorf("instruction tagger: %w", err)
-	}
-	ingredient, err = compile(ner.FromModel(mIng, exIng), b.Ingredient.Task, b.Ingredient.Options)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ingredient tagger: %w", err)
-	}
-	instruction, err = compile(ner.FromModel(mIns, exIns), b.Instruction.Task, b.Instruction.Options)
-	if err != nil {
+	if instruction, err = decodeTagger(b.Instruction); err != nil {
 		return nil, nil, fmt.Errorf("instruction tagger: %w", err)
 	}
 	return ingredient, instruction, nil
 }
 
-// LoadBundleFile is LoadBundle against a file path; errors name the
-// path so an operator staring at a failed load knows which artifact on
-// disk is the corrupt one.
-func LoadBundleFile(path string) (ingredient, instruction *ner.Tagger, err error) {
-	f, err := os.Open(path)
+// decodeTagger rebuilds one tagger from its wire form: the extractor
+// its task names, the validated CRF, and the compiled fast path.
+func decodeTagger(s savedTagger) (*ner.Tagger, error) {
+	ex, err := extractorFor(s.Task, s.Options)
 	if err != nil {
-		return nil, nil, fmt.Errorf("persist: %w", err)
+		return nil, err
 	}
-	defer f.Close()
-	ingredient, instruction, err = LoadBundle(f)
+	m, err := fromSavedCRF(s.CRF)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
-	return ingredient, instruction, nil
-}
-
-// LoadTaggerFile is LoadTagger against a file path, with the same
-// error-names-the-file contract as LoadBundleFile.
-func LoadTaggerFile(path string) (*ner.Tagger, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	defer f.Close()
-	t, err := LoadTagger(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return t, nil
+	return compile(ner.FromModel(m, ex), s.Task, s.Options)
 }

@@ -23,31 +23,6 @@ func trainSmall(t *testing.T) (*ner.Tagger, *ner.Tagger) {
 	return ing, ins
 }
 
-func TestTaggerRoundTrip(t *testing.T) {
-	ing, _ := trainSmall(t)
-	var buf bytes.Buffer
-	if err := SaveTagger(&buf, ing, TaskIngredient, ner.DefaultFeatureOptions); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadTagger(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// predictions must be identical.
-	for _, phrase := range []string{
-		"2 cups chopped onion",
-		"1 ( 8 ounce ) package cream cheese , softened",
-		"2-3 medium tomatoes",
-	} {
-		tokens := strings.Fields(phrase)
-		a := ing.Predict(tokens)
-		b := loaded.Predict(tokens)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%q: %v vs %v", phrase, a, b)
-		}
-	}
-}
-
 func TestBundleRoundTrip(t *testing.T) {
 	ing, ins := trainSmall(t)
 	var buf bytes.Buffer
@@ -69,9 +44,6 @@ func TestBundleRoundTrip(t *testing.T) {
 }
 
 func TestLoadGarbage(t *testing.T) {
-	if _, err := LoadTagger(strings.NewReader("not gob")); err == nil {
-		t.Fatal("expected decode error")
-	}
 	if _, _, err := LoadBundle(strings.NewReader("junk")); err == nil {
 		t.Fatal("expected decode error")
 	}

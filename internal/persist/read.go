@@ -1,6 +1,6 @@
 // Bounded reads for versioned stores. A loader knows from the manifest
 // exactly how many bytes each covered file must hold, so it never
-// needs to trust the file's own length: ReadExact compares the open
+// needs to trust the file's own length: readExact compares the open
 // file's size with the manifest before allocating anything, and
 // ReadManifest reads a manifest through a fixed cap. A corrupted or
 // hostile file, such as a segment extended to a sparse terabyte by
@@ -40,12 +40,12 @@ func ReadManifest(path string) ([]byte, error) {
 	return data, nil
 }
 
-// ReadExact reads the file at path, which its manifest says holds
+// readExact reads the file at path, which its manifest says holds
 // exactly size bytes. The open file's size is checked first, then
 // exactly size bytes are read and end of file is confirmed, so a file
 // that is the wrong size, or changes size while it is read, is an
 // error naming it.
-func ReadExact(path string, size int64) ([]byte, error) {
+func readExact(path string, size int64) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

@@ -260,6 +260,55 @@ func TestStoreRejectsOversizedManifest(t *testing.T) {
 	}
 }
 
+// TestStoreRejectsOversizedCurrent: a CURRENT pointer extended to a
+// sparse terabyte is read through the manifest cap and refused with an
+// error naming it, instead of being allocated whole.
+func TestStoreRejectsOversizedCurrent(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing, ins := tinyTaggers(t)
+	if _, err := st.Save(ing, ins, ner.DefaultFeatureOptions); err != nil {
+		t.Fatal(err)
+	}
+	curPath := filepath.Join(dir, "CURRENT")
+	if err := os.Truncate(curPath, 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := st.Load(); err == nil || !strings.Contains(err.Error(), curPath) || !strings.Contains(err.Error(), "manifest cap") {
+		t.Fatalf("oversized CURRENT: err = %v", err)
+	}
+}
+
+// TestStoreRejectsEscapingCurrent: CURRENT must name one version
+// directory. A pointer that is not a single path element is refused
+// with an error naming CURRENT, even where it would resolve to an
+// installed version.
+func TestStoreRejectsEscapingCurrent(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing, ins := tinyTaggers(t)
+	v, err := st.Save(ing, ins, ner.DefaultFeatureOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	curPath := filepath.Join(dir, "CURRENT")
+	for _, evil := range []string{"../bundles/" + v, v + "/../" + v, filepath.Join(dir, "bundles", v), ".", ".."} {
+		if err := os.WriteFile(curPath, []byte(evil+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err := st.Load()
+		if err == nil || !strings.Contains(err.Error(), curPath) || !strings.Contains(err.Error(), "invalid version name") {
+			t.Fatalf("CURRENT = %q: err = %v", evil, err)
+		}
+	}
+}
+
 func TestStoreLoadEmpty(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -282,19 +331,5 @@ func TestLoadBundleErrorNamesTagger(t *testing.T) {
 	_, _, err = LoadBundle(bytes.NewReader(bad))
 	if err == nil || !strings.Contains(err.Error(), "ingredient tagger") {
 		t.Fatalf("error does not name the corrupt tagger: %v", err)
-	}
-}
-
-func TestLoadBundleFileNamesPath(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "b.gob")
-	if err := os.WriteFile(path, []byte("not a gob"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := LoadBundleFile(path)
-	if err == nil || !strings.Contains(err.Error(), path) {
-		t.Fatalf("error does not name the file: %v", err)
-	}
-	if _, err := LoadTaggerFile(path); err == nil || !strings.Contains(err.Error(), path) {
-		t.Fatalf("tagger error does not name the file: %v", err)
 	}
 }

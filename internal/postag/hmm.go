@@ -3,9 +3,6 @@ package postag
 import (
 	"math"
 	"strings"
-	"sync"
-
-	"recipemodel/internal/intern"
 )
 
 // HMM is a bigram hidden-Markov-model POS tagger: multinomial
@@ -27,34 +24,6 @@ type HMM struct {
 	logSuffix []map[string]float64
 	logFloor  float64
 	vocab     map[string]bool
-
-	// Packed decode tables, built by finalize at the end of training.
-	// The maps above stay the source of truth; Tag decodes against
-	// these flat arrays with pooled scratch so the hot path performs
-	// no string hashing and no per-call lattice allocation. The packed
-	// values are copied bit-for-bit from the maps, so decoding is
-	// bit-identical to the map path (pinned by the reference test).
-	vocabTab   *intern.Table
-	emitPacked []float64 // emitPacked[wid*T+t]; logFloor where unseen with t
-	sufTab     *intern.Table
-	sufPacked  []float64 // sufPacked[sid*T+t]; -Inf where (suffix,tag) unseen
-	cdTag      int       // index of "CD", or -1
-	logCD      float64   // log 0.9, the numeric-shape shortcut
-	pool       sync.Pool // *hmmScratch
-}
-
-// hmmScratch is one Tag call's working memory. Every slice is
-// length-reset and fully overwritten before reads.
-type hmmScratch struct {
-	low    []byte // lowered-token arena
-	lowOff []int32
-	wid    []int32    // vocab ID per token, intern.None if unknown
-	num    []bool     // looksNumeric per unknown token
-	suf    [][3]int32 // suffix IDs (n=3,2,1) per token
-	punct  []bool
-	delta  []float64 // n*T
-	back   []int32   // n*T
-	path   []int32
 }
 
 // TrainHMM estimates the model from a gold-tagged corpus.
@@ -155,44 +124,7 @@ func TrainHMM(corpus []TaggedSentence) *HMM {
 			h.logSuffix[t][suf] = math.Log((n + 1) / (c.total[t] + V))
 		}
 	}
-	h.finalize()
 	return h
-}
-
-// finalize builds the packed decode tables from the trained maps.
-func (h *HMM) finalize() {
-	T := len(h.tags)
-	h.vocabTab = intern.FromMapKeys(h.vocab)
-	h.emitPacked = make([]float64, h.vocabTab.Len()*T)
-	for i := range h.emitPacked {
-		h.emitPacked[i] = h.logFloor
-	}
-	sufSet := make(map[string]bool)
-	for t := 0; t < T; t++ {
-		for w, p := range h.logEmit[t] {
-			h.emitPacked[int(h.vocabTab.Lookup(w))*T+t] = p
-		}
-		for s := range h.logSuffix[t] {
-			sufSet[s] = true
-		}
-	}
-	h.sufTab = intern.FromMapKeys(sufSet)
-	h.sufPacked = make([]float64, h.sufTab.Len()*T)
-	for i := range h.sufPacked {
-		h.sufPacked[i] = math.Inf(-1)
-	}
-	for t := 0; t < T; t++ {
-		for s, p := range h.logSuffix[t] {
-			h.sufPacked[int(h.sufTab.Lookup(s))*T+t] = p
-		}
-	}
-	h.cdTag = -1
-	for t, tag := range h.tags {
-		if tag == "CD" {
-			h.cdTag = t
-		}
-	}
-	h.logCD = math.Log(0.9)
 }
 
 // emission returns log P(word | tag), backing off to suffixes for
@@ -229,51 +161,8 @@ func (h *HMM) emission(t int, lw string) float64 {
 	return h.logFloor
 }
 
-func (h *HMM) getScratch(n, T int) *hmmScratch {
-	s, _ := h.pool.Get().(*hmmScratch)
-	if s == nil {
-		s = &hmmScratch{}
-	}
-	need := n * T
-	if cap(s.delta) < need {
-		s.delta = make([]float64, need)
-		s.back = make([]int32, need)
-	}
-	s.delta = s.delta[:need]
-	s.back = s.back[:need]
-	return s
-}
-
-// emitPackedAt returns log P(word i | tag t) from the packed tables —
-// the exact float emission() computes from the maps.
-func (h *HMM) emitPackedAt(s *hmmScratch, t, i, T int) float64 {
-	if wid := s.wid[i]; wid != intern.None {
-		return h.emitPacked[int(wid)*T+t]
-	}
-	if s.num[i] {
-		if t == h.cdTag {
-			return h.logCD
-		}
-		return h.logFloor * 2
-	}
-	best := math.Inf(-1)
-	for k := 0; k < 3; k++ {
-		if sid := s.suf[i][k]; sid != intern.None {
-			if p := h.sufPacked[int(sid)*T+t]; p > best {
-				best = p
-			}
-		}
-	}
-	if !math.IsInf(best, -1) {
-		return best
-	}
-	return h.logFloor
-}
-
 // Tag runs Viterbi decoding; punctuation is handled deterministically
-// like the perceptron tagger. Decoding goes through the packed tables
-// and pooled scratch (zero per-token heap allocation); output is
-// bit-identical to the map-based reference (see TestHMMTagMatchesReference).
+// like the perceptron tagger.
 func (h *HMM) Tag(words []string) []string {
 	n := len(words)
 	out := make([]string, n)
@@ -281,104 +170,53 @@ func (h *HMM) Tag(words []string) []string {
 		return out
 	}
 	T := len(h.tags)
-	s := h.getScratch(n, T)
-	defer h.pool.Put(s)
-
-	// Per-token precomputation: lowered bytes, vocab/suffix IDs,
-	// numeric shape, punctuation.
-	s.low = s.low[:0]
-	s.lowOff = append(s.lowOff[:0], 0)
-	s.wid = s.wid[:0]
-	s.num = s.num[:0]
-	s.suf = s.suf[:0]
-	s.punct = s.punct[:0]
+	delta := make([][]float64, n)
+	back := make([][]int, n)
+	for i := range delta {
+		delta[i] = make([]float64, T)
+		back[i] = make([]int, T)
+	}
+	lw := make([]string, n)
+	punct := make([]bool, n)
 	for i, w := range words {
-		start := len(s.low)
-		s.low = intern.AppendLower(s.low, w)
-		lw := s.low[start:]
-		s.lowOff = append(s.lowOff, int32(len(s.low)))
-		wid := h.vocabTab.LookupBytes(lw)
-		numeric := false
-		suf := [3]int32{intern.None, intern.None, intern.None}
-		if wid == intern.None {
-			numeric = looksNumericBytes(lw)
-			if !numeric {
-				for k, sn := 0, 3; sn >= 1; k, sn = k+1, sn-1 {
-					if sn <= len(lw) {
-						suf[k] = h.sufTab.LookupBytes(lw[len(lw)-sn:])
-					}
-				}
-			}
-		}
-		s.wid = append(s.wid, wid)
-		s.num = append(s.num, numeric)
-		s.suf = append(s.suf, suf)
+		lw[i] = strings.ToLower(w)
 		if pt, ok := punctTagFor(w); ok {
-			s.punct = append(s.punct, true)
+			punct[i] = true
 			out[i] = pt
-		} else {
-			s.punct = append(s.punct, false)
 		}
 	}
-
 	for t := 0; t < T; t++ {
-		s.delta[t] = h.logInit[t] + h.emitPackedAt(s, t, 0, T)
+		delta[0][t] = h.logInit[t] + h.emission(t, lw[0])
 	}
 	for i := 1; i < n; i++ {
-		prev := s.delta[(i-1)*T : i*T]
-		cur := s.delta[i*T : (i+1)*T]
-		curBack := s.back[i*T : (i+1)*T]
 		for t := 0; t < T; t++ {
-			best, bestScore := int32(0), math.Inf(-1)
+			best, bestScore := 0, math.Inf(-1)
 			for tp := 0; tp < T; tp++ {
-				if sc := prev[tp] + h.logTrans[tp][t]; sc > bestScore {
-					bestScore = sc
-					best = int32(tp)
+				if s := delta[i-1][tp] + h.logTrans[tp][t]; s > bestScore {
+					bestScore = s
+					best = tp
 				}
 			}
-			cur[t] = bestScore + h.emitPackedAt(s, t, i, T)
-			curBack[t] = best
+			delta[i][t] = bestScore + h.emission(t, lw[i])
+			back[i][t] = best
 		}
 	}
-	bestLast, bestScore := int32(0), math.Inf(-1)
-	last := s.delta[(n-1)*T:]
+	bestLast, bestScore := 0, math.Inf(-1)
 	for t := 0; t < T; t++ {
-		if last[t] > bestScore {
-			bestScore = last[t]
-			bestLast = int32(t)
+		if delta[n-1][t] > bestScore {
+			bestScore = delta[n-1][t]
+			bestLast = t
 		}
 	}
-	s.path = s.path[:0]
-	for i := 0; i < n; i++ {
-		s.path = append(s.path, 0)
-	}
-	s.path[n-1] = bestLast
+	path := make([]int, n)
+	path[n-1] = bestLast
 	for i := n - 1; i > 0; i-- {
-		s.path[i-1] = s.back[i*T+int(s.path[i])]
+		path[i-1] = back[i][path[i]]
 	}
 	for i := range out {
-		if !s.punct[i] {
-			out[i] = h.tags[s.path[i]]
+		if !punct[i] {
+			out[i] = h.tags[path[i]]
 		}
 	}
 	return out
-}
-
-// looksNumericBytes mirrors looksNumeric over a byte slice.
-func looksNumericBytes(w []byte) bool {
-	if len(w) == 0 {
-		return false
-	}
-	digits := 0
-	for i := 0; i < len(w); i++ {
-		c := w[i]
-		switch {
-		case c >= '0' && c <= '9':
-			digits++
-		case c == '/' || c == '.' || c == '-' || c == ' ' || c == ',':
-		default:
-			return false
-		}
-	}
-	return digits > 0
 }

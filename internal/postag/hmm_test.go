@@ -83,3 +83,13 @@ func TestHMMAgreesWithPerceptronOnClusteringVectors(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkHMMTag(b *testing.B) {
+	h := TrainHMM(Corpus())
+	words := []string{"Bring", "the", "water", "to", "a", "boil", "in", "a", "large", "pot", "."}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Tag(words)
+	}
+}

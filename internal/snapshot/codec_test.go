@@ -264,7 +264,7 @@ func TestLoadRejectsFormatlessManifest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		manPath := filepath.Join(st.versionDir(v), "MANIFEST.json")
+		manPath := filepath.Join(st.VersionDir(v), "MANIFEST.json")
 		if err := os.WriteFile(manPath, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestLoadRejectsOversizedSegment(t *testing.T) {
 			}
 		}
 		seg := firstSegment(t, st.Dir(), v)
-		if err := os.Truncate(filepath.Join(st.versionDir(v), seg), 1<<40); err != nil {
+		if err := os.Truncate(filepath.Join(st.VersionDir(v), seg), 1<<40); err != nil {
 			t.Fatal(err)
 		}
 		_, lerr := st.Load(context.Background())
@@ -327,7 +327,7 @@ func TestLoadRejectsOversizedManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manPath := filepath.Join(st.versionDir(v), "MANIFEST.json")
+	manPath := filepath.Join(st.VersionDir(v), "MANIFEST.json")
 	if err := os.Truncate(manPath, 1<<40); err != nil {
 		t.Fatal(err)
 	}

@@ -31,12 +31,12 @@ func builtVersion(tb testing.TB, models []*core.RecipeModel) (manData, segData [
 	if err != nil {
 		tb.Fatal(err)
 	}
-	manData, err = os.ReadFile(filepath.Join(st.versionDir(v), "MANIFEST.json"))
+	manData, err = os.ReadFile(filepath.Join(st.VersionDir(v), "MANIFEST.json"))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	segName = firstSegment(tb, st.Dir(), v)
-	segData, err = os.ReadFile(filepath.Join(st.versionDir(v), segName))
+	segData, err = os.ReadFile(filepath.Join(st.VersionDir(v), segName))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -15,17 +15,17 @@
 //	    v000002/
 //	      ...
 //
-// The install discipline is persist's, reused verbatim: segments and
-// manifest are written atomically inside a hidden temp directory, the
-// directory is renamed into place, and only then does CURRENT swing —
-// a crash anywhere leaves CURRENT naming the previous, fully durable
-// version. Loads verify each segment's size and sha256 against the
-// manifest before that segment is decoded, so a torn or bit-flipped
-// snapshot is a named-file, expected-vs-found-digest error, never a
-// half corpus. Load attempts retry with resilience.Backoff (transient
-// I/O), and LoadLatestGood falls back version by version when the
-// current snapshot is rejected — the server keeps serving the newest
-// corpus that checks out.
+// The version protocol is persist.Versioned, shared with the model
+// store: Build stages the segments and manifest in a hidden directory,
+// renames it into place, and only then does CURRENT swing, so a crash
+// anywhere leaves CURRENT naming the previous, fully durable version.
+// Loads verify each segment's size and sha256 against the manifest
+// before that segment is decoded, so a torn or bit-flipped snapshot is
+// a named-file, expected-vs-found-digest error, never a half corpus.
+// Load attempts retry with resilience.Backoff (transient I/O), and
+// LoadLatestGood falls back version by version when the current
+// snapshot is rejected — the server keeps serving the newest corpus
+// that checks out.
 package snapshot
 
 import (
@@ -34,10 +34,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 
 	"recipemodel/internal/checkpoint"
@@ -88,7 +85,7 @@ type Snapshot struct {
 // because snapshot models are never mutated. A Store keeps its newest
 // load's models alive until its next successful load.
 type Store struct {
-	dir string
+	*persist.Versioned
 	// Backoff paces the per-version load retries; the zero value uses
 	// the resilience defaults (3 attempts, 10ms base). Tests install a
 	// no-op Sleep to keep retry drills clock-free.
@@ -110,19 +107,11 @@ type segmentMemo struct {
 // OpenStore opens (creating if necessary) a snapshot store rooted at
 // dir.
 func OpenStore(dir string) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "snapshots"), 0o755); err != nil {
-		return nil, fmt.Errorf("snapshot: open store: %w", err)
+	v, err := persist.OpenVersioned(dir, "snapshots", "snapshot")
+	if err != nil {
+		return nil, err
 	}
-	return &Store{dir: dir}, nil
-}
-
-// Dir returns the store root.
-func (s *Store) Dir() string { return s.dir }
-
-func (s *Store) snapshotsDir() string { return filepath.Join(s.dir, "snapshots") }
-
-func (s *Store) versionDir(version string) string {
-	return filepath.Join(s.snapshotsDir(), version)
+	return &Store{Versioned: v}, nil
 }
 
 // segmentEntry is one segment file's integrity record.
@@ -145,67 +134,13 @@ type manifest struct {
 	Segments []segmentEntry `json:"segments"`
 }
 
-// Versions lists the installed versions in ascending order (temp
-// directories from interrupted installs are excluded).
-func (s *Store) Versions() ([]string, error) {
-	entries, err := os.ReadDir(s.snapshotsDir())
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: list versions: %w", err)
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), "v") {
-			out = append(out, e.Name())
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// nextVersion allocates the next sequential version name.
-func (s *Store) nextVersion() (string, error) {
-	versions, err := s.Versions()
-	if err != nil {
-		return "", err
-	}
-	n := 0
-	for _, v := range versions {
-		var i int
-		if _, err := fmt.Sscanf(v, "v%06d", &i); err == nil && i > n {
-			n = i
-		}
-	}
-	return fmt.Sprintf("v%06d", n+1), nil
-}
-
-// SetCurrent atomically points CURRENT at an installed version — also
-// the rollback primitive: point it back at a previous version.
-func (s *Store) SetCurrent(version string) error {
-	if _, err := os.Stat(s.versionDir(version)); err != nil {
-		return fmt.Errorf("snapshot: set current: version %q not installed: %w", version, err)
-	}
-	if err := persist.WriteCurrentPointer(s.dir, version); err != nil {
-		return fmt.Errorf("snapshot: set current %s: %w", version, err)
-	}
-	return nil
-}
-
-// Current reads the serving version from CURRENT.
-func (s *Store) Current() (string, error) {
-	version, err := persist.ReadCurrentPointer(s.dir)
-	if err != nil {
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	return version, nil
-}
-
 // Build installs the models as a new snapshot version and swaps
 // CURRENT to it, returning the version name. Models are encoded in
 // their given order (positions are the corpus's global doc ids) into
 // fixed-size binary segments; the same models always produce the same
 // bytes. The install is two-phase, so a crash at any point leaves
 // CURRENT on the previous, fully durable version.
-func (s *Store) Build(models []*core.RecipeModel) (version string, err error) {
+func (s *Store) Build(models []*core.RecipeModel) (string, error) {
 	if len(models) == 0 {
 		return "", fmt.Errorf("snapshot: refusing to build an empty snapshot")
 	}
@@ -214,57 +149,29 @@ func (s *Store) Build(models []*core.RecipeModel) (version string, err error) {
 			return "", fmt.Errorf("snapshot: refusing to build a snapshot with nil doc %d", i)
 		}
 	}
-	version, err = s.nextVersion()
-	if err != nil {
-		return "", err
-	}
-	tmpDir := filepath.Join(s.snapshotsDir(), ".install-"+version)
-	// A previous interrupted install may have left the temp dir behind.
-	if err := os.RemoveAll(tmpDir); err != nil {
-		return "", fmt.Errorf("snapshot: install %s: %w", version, err)
-	}
-	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-		return "", fmt.Errorf("snapshot: install %s: %w", version, err)
-	}
-	defer func() {
+	return s.Install(func(stage, version string) error {
+		man := manifest{Version: version, Format: segmentFormat, Docs: len(models)}
+		for lo := 0; lo < len(models); lo += segRecords {
+			hi := min(lo+segRecords, len(models))
+			data := encodeSegment(models[lo:hi])
+			name := fmt.Sprintf("seg-%06d.bin", len(man.Segments))
+			sum := sha256.Sum256(data)
+			if err := checkpoint.WriteFileAtomic(filepath.Join(stage, name), data, 0o644); err != nil {
+				return err
+			}
+			man.Segments = append(man.Segments, segmentEntry{
+				Name:    name,
+				Records: hi - lo,
+				Size:    int64(len(data)),
+				SHA256:  hex.EncodeToString(sum[:]),
+			})
+		}
+		manData, err := json.MarshalIndent(man, "", "  ")
 		if err != nil {
-			os.RemoveAll(tmpDir)
+			return err
 		}
-	}()
-
-	man := manifest{Version: version, Format: segmentFormat, Docs: len(models)}
-	for lo := 0; lo < len(models); lo += segRecords {
-		hi := min(lo+segRecords, len(models))
-		data := encodeSegment(models[lo:hi])
-		name := fmt.Sprintf("seg-%06d.bin", len(man.Segments))
-		sum := sha256.Sum256(data)
-		if err := checkpoint.WriteFileAtomic(filepath.Join(tmpDir, name), data, 0o644); err != nil {
-			return "", fmt.Errorf("snapshot: install %s: %w", version, err)
-		}
-		man.Segments = append(man.Segments, segmentEntry{
-			Name:    name,
-			Records: hi - lo,
-			Size:    int64(len(data)),
-			SHA256:  hex.EncodeToString(sum[:]),
-		})
-	}
-	manData, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("snapshot: install %s: %w", version, err)
-	}
-	if err := checkpoint.WriteFileAtomic(filepath.Join(tmpDir, "MANIFEST.json"), append(manData, '\n'), 0o644); err != nil {
-		return "", fmt.Errorf("snapshot: install %s: %w", version, err)
-	}
-	if err := os.Rename(tmpDir, s.versionDir(version)); err != nil {
-		return "", fmt.Errorf("snapshot: install %s: %w", version, err)
-	}
-	if err := checkpoint.SyncDir(s.snapshotsDir()); err != nil {
-		return "", fmt.Errorf("snapshot: install %s: %w", version, err)
-	}
-	if err := s.SetCurrent(version); err != nil {
-		return version, err
-	}
-	return version, nil
+		return checkpoint.WriteFileAtomic(filepath.Join(stage, "MANIFEST.json"), append(manData, '\n'), 0o644)
+	})
 }
 
 // LoadVersion loads one installed version: the manifest is read first
@@ -283,7 +190,7 @@ func (s *Store) LoadVersion(version string) (*Snapshot, error) {
 	if err := faults.Inject(FaultLoad); err != nil {
 		return nil, fmt.Errorf("snapshot: load %s: %w", version, err)
 	}
-	verDir := s.versionDir(version)
+	verDir := s.VersionDir(version)
 	manPath := filepath.Join(verDir, "MANIFEST.json")
 	manData, err := persist.ReadManifest(manPath)
 	if err != nil {
@@ -297,10 +204,10 @@ func (s *Store) LoadVersion(version string) (*Snapshot, error) {
 	case segmentFormat:
 	case "":
 		return nil, fmt.Errorf("snapshot: %s: no segment format recorded: this version holds JSONL segments, which this release no longer reads; republish it with: cat %s > corpus.jsonl && recipemine snapshot -store %s -from corpus.jsonl",
-			manPath, filepath.Join(verDir, "seg-*.jsonl"), s.dir)
+			manPath, filepath.Join(verDir, "seg-*.jsonl"), s.Dir())
 	default:
 		return nil, fmt.Errorf("snapshot: %s: unknown segment format %q (this release reads %q); republish the mined corpus with: recipemine snapshot -store %s -from corpus.jsonl",
-			manPath, man.Format, segmentFormat, s.dir)
+			manPath, man.Format, segmentFormat, s.Dir())
 	}
 	// Build refuses empty corpora, so a manifest claiming zero (or
 	// negative) docs can only be corruption.
@@ -319,19 +226,14 @@ func (s *Store) LoadVersion(version string) (*Snapshot, error) {
 			return nil, fmt.Errorf("snapshot: %s: invalid segment name %q", manPath, seg.Name)
 		}
 		segPath := filepath.Join(verDir, seg.Name)
-		data, err := persist.ReadExact(segPath, seg.Size)
+		data, err := s.ReadVerified(segPath, seg.Size, seg.SHA256)
 		if err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
-		}
-		sum := sha256.Sum256(data)
-		got := hex.EncodeToString(sum[:])
-		if got != seg.SHA256 {
-			return nil, fmt.Errorf("snapshot: %s: checksum mismatch: manifest expects sha256 %s, file has %s", segPath, seg.SHA256, got)
+			return nil, err
 		}
 		// Reuse is keyed by position as well as digest, so two
 		// byte-identical segments of one snapshot never share models.
 		var records []*core.RecipeModel
-		if i < len(prev) && prev[i].sha256 == got {
+		if i < len(prev) && prev[i].sha256 == seg.SHA256 {
 			records = prev[i].records
 		} else if records, err = decodeSegment(data, seg.Records); err != nil {
 			return nil, fmt.Errorf("snapshot: %s: %w", segPath, err)
@@ -339,7 +241,7 @@ func (s *Store) LoadVersion(version string) (*Snapshot, error) {
 		if len(records) != seg.Records {
 			return nil, fmt.Errorf("snapshot: %s: holds %d records, manifest expects %d", segPath, len(records), seg.Records)
 		}
-		memo = append(memo, segmentMemo{sha256: got, records: records})
+		memo = append(memo, segmentMemo{sha256: seg.SHA256, records: records})
 		snap.Models = append(snap.Models, records...)
 	}
 	if len(snap.Models) != man.Docs {
@@ -410,5 +312,5 @@ func (s *Store) LoadLatestGood(ctx context.Context) (snap *Snapshot, rejected []
 		}
 		rejected = append(rejected, fmt.Errorf("version %s rejected: %w", v, lerr))
 	}
-	return nil, rejected, fmt.Errorf("snapshot: no loadable version in %s (tried %d)", s.dir, len(try))
+	return nil, rejected, fmt.Errorf("snapshot: no loadable version in %s (tried %d)", s.Dir(), len(try))
 }

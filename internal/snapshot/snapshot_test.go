@@ -13,6 +13,7 @@ import (
 
 	"recipemodel/internal/core"
 	"recipemodel/internal/faults"
+	"recipemodel/internal/persist"
 	"recipemodel/internal/relations"
 	"recipemodel/internal/resilience"
 )
@@ -78,7 +79,7 @@ func TestBuildSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(st.versionDir(v))
+	entries, err := os.ReadDir(st.VersionDir(v))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestLoadRejectsCorruptSegment(t *testing.T) {
 			}
 		}
 		seg := firstSegment(t, st.Dir(), v)
-		segPath := filepath.Join(st.versionDir(v), seg)
+		segPath := filepath.Join(st.VersionDir(v), seg)
 		data, err := os.ReadFile(segPath)
 		if err != nil {
 			t.Fatal(err)
@@ -181,7 +182,7 @@ func TestLoadRejectsTornSegment(t *testing.T) {
 			}
 		}
 		seg := firstSegment(t, st.Dir(), v)
-		segPath := filepath.Join(st.versionDir(v), seg)
+		segPath := filepath.Join(st.VersionDir(v), seg)
 		data, _ := os.ReadFile(segPath)
 		if err := os.WriteFile(segPath, data[:len(data)/2], 0o644); err != nil {
 			t.Fatal(err)
@@ -294,7 +295,7 @@ func TestLoadRejectsMissingManifest(t *testing.T) {
 	st, _ := OpenStore(t.TempDir())
 	noSleep(st)
 	v, _ := st.Build(testModels(3))
-	if err := os.Remove(filepath.Join(st.versionDir(v), "MANIFEST.json")); err != nil {
+	if err := os.Remove(filepath.Join(st.VersionDir(v), "MANIFEST.json")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Load(context.Background()); err == nil {
@@ -306,7 +307,7 @@ func TestLoadRejectsEscapingSegmentName(t *testing.T) {
 	st, _ := OpenStore(t.TempDir())
 	noSleep(st)
 	v, _ := st.Build(testModels(3))
-	manPath := filepath.Join(st.versionDir(v), "MANIFEST.json")
+	manPath := filepath.Join(st.VersionDir(v), "MANIFEST.json")
 	man, _ := os.ReadFile(manPath)
 	evil := strings.Replace(string(man), firstSegment(t, st.Dir(), v), "../../../etc/passwd", 1)
 	if err := os.WriteFile(manPath, []byte(evil), 0o644); err != nil {
@@ -371,7 +372,7 @@ func TestLoadLatestGoodFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segPath := filepath.Join(st.versionDir(v2), firstSegment(t, st.Dir(), v2))
+	segPath := filepath.Join(st.VersionDir(v2), firstSegment(t, st.Dir(), v2))
 	data, _ := os.ReadFile(segPath)
 	if err := os.WriteFile(segPath, data[:len(data)-7], 0o644); err != nil {
 		t.Fatal(err)
@@ -394,7 +395,7 @@ func TestLoadLatestGoodAllBad(t *testing.T) {
 	st, _ := OpenStore(t.TempDir())
 	noSleep(st)
 	v, _ := st.Build(testModels(3))
-	if err := os.Remove(filepath.Join(st.versionDir(v), firstSegment(t, st.Dir(), v))); err != nil {
+	if err := os.Remove(filepath.Join(st.VersionDir(v), firstSegment(t, st.Dir(), v))); err != nil {
 		t.Fatal(err)
 	}
 	_, rejected, err := st.LoadLatestGood(context.Background())
@@ -427,6 +428,42 @@ func TestRollbackViaSetCurrent(t *testing.T) {
 	}
 }
 
+// TestBuildCrashBeforeCurrentSwap: a crash injected between a
+// version's install and the CURRENT swap fails Build with the injected
+// error and leaves the store serving the previous version; the next
+// Build publishes.
+func TestBuildCrashBeforeCurrentSwap(t *testing.T) {
+	st, _ := OpenStore(t.TempDir())
+	noSleep(st)
+	if _, err := st.Build(testModels(2)); err != nil {
+		t.Fatal(err)
+	}
+
+	errCrash := errors.New("simulated crash")
+	disarm := faults.Enable(persist.FaultInstall, faults.Fault{Err: errCrash})
+	_, err := st.Build(testModels(4))
+	disarm()
+	if !errors.Is(err, errCrash) {
+		t.Fatalf("build under fault = %v, want injected crash", err)
+	}
+
+	snap, err := st.Load(context.Background())
+	if err != nil {
+		t.Fatalf("store unloadable after crashed install: %v", err)
+	}
+	if snap.Version != "v000001" || len(snap.Models) != 2 {
+		t.Fatalf("after crashed install: serving %q with %d docs, want v000001 with 2", snap.Version, len(snap.Models))
+	}
+
+	v3, err := st.Build(testModels(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := st.Load(context.Background()); err != nil || snap.Version != v3 || len(snap.Models) != 3 {
+		t.Fatalf("after retry: %v, want %s with 3 docs", err, v3)
+	}
+}
+
 // TestInterruptedInstallLeavesNoVersion: a temp install directory left
 // by a crash is invisible to Versions and to loaders.
 func TestInterruptedInstallLeavesNoVersion(t *testing.T) {
@@ -437,7 +474,7 @@ func TestInterruptedInstallLeavesNoVersion(t *testing.T) {
 	}
 	// Simulate a crash mid-install: the hidden temp directory exists
 	// but was never renamed into place.
-	if err := os.MkdirAll(filepath.Join(st.snapshotsDir(), ".install-v000002"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(st.Dir(), "snapshots", ".install-v000002"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	vs, err := st.Versions()
