@@ -29,7 +29,7 @@ func TestBuildServerWiresCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a pipeline")
 	}
-	h, err := buildServer("", "", 0, smallOpts(), server.Config{
+	h, err := buildServer("", "", "", 0, smallOpts(), server.Config{
 		CacheEntries: defaultCacheEntries,
 	})
 	if err != nil {

@@ -57,6 +57,13 @@
 // hot-swaps to a newly published snapshot; in-flight queries finish on
 // the snapshot they started on.
 //
+// Boot posture: the boot runs on two lanes. With -snapshots the corpus
+// snapshot loads on its own goroutine while the model loads (or trains)
+// and the -corpus mining runs; the lanes join before the server and its
+// query shards are built, which uses every core. So the "corpus
+// snapshot rejected at boot" lines may interleave with the mining line.
+// The listener opens, and /readyz turns true, only after all of it.
+//
 // Durability posture: with -store the pipeline is served out of a
 // versioned, checksummed model store (internal/persist). A retrain
 // publishes a new version with `recipemine train -store`; SIGHUP or
@@ -122,13 +129,55 @@ func storeLoader(storePath string) func() (server.Pipeline, string, error) {
 
 // buildServer assembles the resilient HTTP server: load (from a flat
 // file or a versioned store) or train a pipeline, optionally mine a
-// corpus for /search. With a store path the hot-reload loader is wired
+// corpus for /search, and with a snapshot directory boot the query
+// corpus from it. With a store path the hot-reload loader is wired
 // into the config so /admin/reload and SIGHUP can swap in retrained
 // versions. The returned server is not yet ready (SetReady) — main
 // flips it after assembly so /readyz answers false for the whole
 // training window. Extracted from main so tests can drive the full
 // assembly.
-func buildServer(modelPath, storePath string, corpusSize int, opts recipemodel.Options, cfg server.Config) (*server.Server, error) {
+//
+// The boot runs on two lanes. The snapshot loads on its own goroutine
+// while the pipeline loads and the -corpus mining runs on the calling
+// one; the lanes share no state, and both join before
+// server.NewWithConfig, on every return path. When both fail, the
+// snapshot error is the one returned.
+func buildServer(modelPath, storePath, snapshotsPath string, corpusSize int, opts recipemodel.Options, cfg server.Config) (*server.Server, error) {
+	type corpusLane struct {
+		snap   *snapshot.Snapshot
+		loader func() (*snapshot.Snapshot, error)
+		err    error
+	}
+	lane := make(chan corpusLane, 1)
+	if snapshotsPath == "" {
+		lane <- corpusLane{}
+	} else {
+		go func() {
+			var c corpusLane
+			c.snap, c.loader, c.err = openCorpus(snapshotsPath, log.Default())
+			lane <- c
+		}()
+	}
+	p, ix, err := loadPipeline(modelPath, storePath, corpusSize, opts, &cfg)
+	c := <-lane
+	if c.err != nil {
+		return nil, c.err
+	}
+	if err != nil {
+		return nil, err
+	}
+	if c.snap != nil {
+		cfg.CorpusSnapshot = c.snap
+		cfg.CorpusLoader = c.loader
+		log.Printf("serving corpus snapshot %s (%d docs) over %d shards", c.snap.Version, len(c.snap.Models), cfg.CorpusShards)
+	}
+	return server.NewWithConfig(pipeAdapter{p}, ix, cfg), nil
+}
+
+// loadPipeline is the boot's model lane: it loads or trains the
+// pipeline, recording a store's version and reload loader in cfg, then
+// mines and indexes corpusSize synthetic recipes for /search.
+func loadPipeline(modelPath, storePath string, corpusSize int, opts recipemodel.Options, cfg *server.Config) (*recipemodel.Pipeline, *index.Index, error) {
 	var p *recipemodel.Pipeline
 	var err error
 	switch {
@@ -139,7 +188,7 @@ func buildServer(modelPath, storePath string, corpusSize int, opts recipemodel.O
 		var f *os.File
 		f, err = os.Open(modelPath)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		p, err = recipemodel.LoadPipeline(f)
 		f.Close()
@@ -148,7 +197,7 @@ func buildServer(modelPath, storePath string, corpusSize int, opts recipemodel.O
 		p, err = recipemodel.NewPipeline(opts)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	var ix *index.Index
@@ -157,7 +206,7 @@ func buildServer(modelPath, storePath string, corpusSize int, opts recipemodel.O
 		models := p.ModelRecipes(recipemodel.Inputs(recipemodel.SyntheticRecipes(corpusSize, 1)))
 		ix = index.New(models)
 	}
-	return server.NewWithConfig(pipeAdapter{p}, ix, cfg), nil
+	return p, ix, nil
 }
 
 // defaultCacheEntries bounds the annotation cache out of the box: at
@@ -343,17 +392,10 @@ func main() {
 	}
 	log.Print(tierConfigLine(!*rulesOff, *rulesRoute, *rulesThreshold))
 	if *snapshotsPath != "" {
-		snap, loader, err := openCorpus(*snapshotsPath, log.Default())
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.CorpusSnapshot = snap
 		cfg.CorpusShards = *queryShards
-		cfg.CorpusLoader = loader
 		cfg.QueryShardBudget = *queryShardBudget
-		log.Printf("serving corpus snapshot %s (%d docs) over %d shards", snap.Version, len(snap.Models), *queryShards)
 	}
-	s, err := buildServer(*modelPath, *storePath, *corpusSize, recipemodel.DefaultOptions(), cfg)
+	s, err := buildServer(*modelPath, *storePath, *snapshotsPath, *corpusSize, recipemodel.DefaultOptions(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestBuildServerEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a pipeline")
 	}
-	h, err := buildServer("", "", 20, smallOpts(), server.Config{})
+	h, err := buildServer("", "", "", 20, smallOpts(), server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestBuildServerFromPersistedModel(t *testing.T) {
 	}
 	f.Close()
 
-	h, err := buildServer(path, "", 0, recipemodel.Options{}, server.Config{})
+	h, err := buildServer(path, "", "", 0, recipemodel.Options{}, server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestBuildServerFromPersistedModel(t *testing.T) {
 }
 
 func TestBuildServerMissingModelFile(t *testing.T) {
-	if _, err := buildServer("/nonexistent/model.bin", "", 0, recipemodel.Options{}, server.Config{}); err == nil {
+	if _, err := buildServer("/nonexistent/model.bin", "", "", 0, recipemodel.Options{}, server.Config{}); err == nil {
 		t.Fatal("expected error for missing model file")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"recipemodel"
 	"recipemodel/internal/core"
 	"recipemodel/internal/faults"
 	"recipemodel/internal/server"
@@ -190,5 +192,71 @@ func TestServeSIGHUPReloadsCorpus(t *testing.T) {
 	sigs <- syscall.SIGTERM
 	if err := <-serveDone; err != nil {
 		t.Fatalf("serve returned %v, want nil", err)
+	}
+}
+
+// TestBuildServerBootLanes drives the whole two-lane boot: the model
+// store loads and the -corpus mining runs while the snapshot store
+// loads beside them, and the server comes out serving all three.
+func TestBuildServerBootLanes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a pipeline")
+	}
+	storeDir, snapDir := t.TempDir(), t.TempDir()
+	p, err := recipemodel.NewPipeline(smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := p.SaveToStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := snapshot.OpenStore(snapDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Build(corpusModels(6)); err != nil {
+		t.Fatal(err)
+	}
+	h, err := buildServer("", storeDir, snapDir, 5, recipemodel.Options{}, server.Config{CorpusShards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.ModelVersion() != model || h.CorpusVersion() != "v000001" || !h.CorpusReloadEnabled() {
+		t.Fatalf("boot serves model %q and corpus %q (reload enabled %v), want %q and v000001",
+			h.ModelVersion(), h.CorpusVersion(), h.CorpusReloadEnabled(), model)
+	}
+	for path, body := range map[string]string{"/search": `{}`, "/query/search": `{"ingredients": ["onion"]}`} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, w.Code, w.Body.String())
+		}
+	}
+}
+
+// TestBuildServerLaneErrors: a failed lane ends the boot with its own
+// error after both lanes have joined. When both fail, the snapshot
+// error is returned, as when a bad snapshot ended the boot before the
+// model loaded.
+func TestBuildServerLaneErrors(t *testing.T) {
+	good, empty := t.TempDir(), t.TempDir()
+	st, err := snapshot.OpenStore(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Build(corpusModels(4)); err != nil {
+		t.Fatal(err)
+	}
+	_, _, snapErr := openCorpus(empty, log.New(io.Discard, "", 0))
+	if snapErr == nil {
+		t.Fatal("an empty snapshot store booted")
+	}
+	const missing = "/nonexistent/model.bin"
+	if _, err := buildServer(missing, "", empty, 0, recipemodel.Options{}, server.Config{}); err == nil || err.Error() != snapErr.Error() {
+		t.Fatalf("both lanes failed: err = %v, want the snapshot error %v", err, snapErr)
+	}
+	if _, err := buildServer(missing, "", good, 0, recipemodel.Options{}, server.Config{}); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Fatalf("model lane failed: err = %v, want the model file error", err)
 	}
 }

@@ -36,7 +36,7 @@ func TestBuildServerFromStoreAndHotReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h, err := buildServer("", storeDir, 0, recipemodel.Options{}, server.Config{})
+	h, err := buildServer("", storeDir, "", 0, recipemodel.Options{}, server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestBuildServerFromStoreAndHotReload(t *testing.T) {
 }
 
 func TestBuildServerFromEmptyStore(t *testing.T) {
-	if _, err := buildServer("", t.TempDir(), 0, recipemodel.Options{}, server.Config{}); err == nil {
+	if _, err := buildServer("", t.TempDir(), "", 0, recipemodel.Options{}, server.Config{}); err == nil {
 		t.Fatal("expected error for a store with no versions")
 	}
 }

@@ -3,8 +3,8 @@
 // exposes [1]. Because recipes are mined into typed fields, queries
 // can target facets the raw text cannot: find recipes that *fry*
 // *chicken* in a *skillet*, recipes using a given ingredient in a
-// given processing state, or recipes whose technique chain contains a
-// given subsequence.
+// given processing state, or recipes in which one event applies a
+// given process to a given ingredient.
 package index
 
 import (

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"recipemodel/internal/core"
+	"recipemodel/internal/goldmodel"
 	"recipemodel/internal/relations"
 )
 
@@ -135,5 +136,19 @@ func TestIntersect(t *testing.T) {
 	}
 	if got := intersect(nil, []int{1}); got != nil {
 		t.Fatalf("empty intersect = %v", got)
+	}
+}
+
+// benchIndex keeps BenchmarkNew's result live.
+var benchIndex *Index
+
+// BenchmarkNew builds the index over 1,250 gold documents, the size of
+// one of the default 4 query shards over a 5,000-doc corpus.
+func BenchmarkNew(b *testing.B) {
+	models := goldmodel.Corpus(625, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchIndex = New(models)
 	}
 }

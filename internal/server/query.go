@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -45,6 +46,7 @@ import (
 	"recipemodel/internal/faults"
 	"recipemodel/internal/index"
 	"recipemodel/internal/nutrition"
+	"recipemodel/internal/parallel"
 	"recipemodel/internal/similarity"
 	"recipemodel/internal/snapshot"
 )
@@ -111,7 +113,9 @@ func (cs *corpusState) healthyShards() int {
 
 // newCorpusState partitions a snapshot into nshards round-robin shards
 // and builds each shard's read state. The shard count is clamped to
-// [1, docs] so no shard is empty.
+// [1, docs] so no shard is empty. The corpus weights and each shard
+// are separate tasks on a pool bounded by GOMAXPROCS; each task writes
+// only its own slot, so the state is the serial build's.
 func newCorpusState(snap *snapshot.Snapshot, nshards int) *corpusState {
 	n := nshards
 	if n < 1 {
@@ -123,10 +127,16 @@ func newCorpusState(snap *snapshot.Snapshot, nshards int) *corpusState {
 	cs := &corpusState{
 		version: snap.Version,
 		snap:    snap,
-		weights: similarity.LearnWeights(snap.Models),
+		shards:  make([]*corpusShard, n),
 	}
 	est := nutrition.NewEstimator()
-	for i := 0; i < n; i++ {
+	// Task 0 learns the weights; task i+1 builds shard i.
+	runTasks(n+1, func(task int) {
+		if task == 0 {
+			cs.weights = similarity.LearnWeights(snap.Models)
+			return
+		}
+		i := task - 1
 		var models []*core.RecipeModel
 		for g := i; g < len(snap.Models); g += n {
 			models = append(models, snap.Models[g])
@@ -139,9 +149,35 @@ func newCorpusState(snap *snapshot.Snapshot, nshards int) *corpusState {
 			profiles: est.EstimateAll(models),
 		}
 		sh.healthy.Store(true)
-		cs.shards = append(cs.shards, sh)
-	}
+		cs.shards[i] = sh
+	})
 	return cs
+}
+
+// runTasks runs fn(0) … fn(n-1) on parallel.MapOrdered, bounded by
+// GOMAXPROCS. A panic is recovered inside its task, and once every task
+// has returned the lowest-index one is raised again on the calling
+// goroutine, as an error carrying the task, the panic value and the
+// stack of the frame that panicked. So a build panic during
+// /admin/reload/corpus unwinds the handler: the recover middleware
+// answers 500 and logs the faulting frame, corpusMu is released and the
+// old corpus keeps serving. Unrecovered in a worker, it would end the
+// process.
+func runTasks(n int, fn func(task int)) {
+	panics := parallel.MapOrdered(0, make([]struct{}, n), func(task int, _ struct{}) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("corpus build task %d panicked: %v\n%s", task, p, debug.Stack())
+			}
+		}()
+		fn(task)
+		return nil
+	})
+	for _, err := range panics {
+		if err != nil {
+			panic(err)
+		}
+	}
 }
 
 // rebind returns a new generation serving snap, whose models must be

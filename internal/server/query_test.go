@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"recipemodel/internal/core"
 	"recipemodel/internal/faults"
+	"recipemodel/internal/goldmodel"
 	"recipemodel/internal/relations"
 	"recipemodel/internal/snapshot"
 )
@@ -475,5 +478,64 @@ func TestReloadCorpusRestoresShardHealth(t *testing.T) {
 				t.Fatalf("%s after reload to %s:\n  got  %s\n  want %s", path, snap.Version, got, want)
 			}
 		}
+	}
+}
+
+// TestReloadCorpusBuildPanicKeepsServing: a panic inside the corpus
+// build, here a nil model, unwinds the reload handler like any handler
+// panic: 500 from the recover middleware, the old corpus keeps serving,
+// and corpusMu is released, so the next reload installs its snapshot.
+// The logged panic names the task and the frame that faulted, not only
+// the re-raise in runTasks.
+func TestReloadCorpusBuildPanicKeepsServing(t *testing.T) {
+	bad := querySnapshot("v000002", 40)
+	bad.Models[17] = nil
+	next := []*snapshot.Snapshot{bad, querySnapshot("v000003", 40)}
+	var logs bytes.Buffer
+	s := NewWithConfig(fakePipe{}, nil, Config{
+		CorpusSnapshot: querySnapshot("v000001", 40),
+		CorpusShards:   4,
+		CorpusLoader: func() (*snapshot.Snapshot, error) {
+			snap := next[0]
+			next = next[1:]
+			return snap, nil
+		},
+		Logger: log.New(&logs, "", 0),
+	})
+	w := do(t, s, http.MethodPost, "/admin/reload/corpus", "")
+	if w.Code != http.StatusInternalServerError || w.Body.String() != `{"error":"internal server error"}`+"\n" {
+		t.Fatalf("reload of a nil model: status %d, body %q", w.Code, w.Body.String())
+	}
+	if got := s.CorpusVersion(); got != "v000001" {
+		t.Fatalf("after the panicking reload the server serves %q, want v000001", got)
+	}
+	// Task 0, LearnWeights, is the lowest-index task the nil model
+	// faults; shard 1's index.New faults on it too.
+	for _, want := range []string{"corpus build task 0 panicked", "similarity.LearnWeights("} {
+		if !strings.Contains(logs.String(), want) {
+			t.Fatalf("the logged panic does not name %q:\n%s", want, logs.String())
+		}
+	}
+	w = do(t, s, http.MethodPost, "/admin/reload/corpus", "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("reload after the panic: status %d: %s", w.Code, w.Body.String())
+	}
+	if got := s.CorpusVersion(); got != "v000003" {
+		t.Fatalf("after the good reload the server serves %q, want v000003", got)
+	}
+}
+
+// benchCorpus keeps BenchmarkNewCorpusState's result live.
+var benchCorpus *corpusState
+
+// BenchmarkNewCorpusState builds the serving corpus of a 5,000-doc
+// gold snapshot over the default 4 shards: the corpus weights, and
+// each shard's index and nutrition profiles.
+func BenchmarkNewCorpusState(b *testing.B) {
+	snap := &snapshot.Snapshot{Version: "v000001", Models: goldmodel.Corpus(2500, 1)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchCorpus = newCorpusState(snap, 4)
 	}
 }

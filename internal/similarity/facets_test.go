@@ -5,39 +5,8 @@ import (
 	"testing"
 
 	"recipemodel/internal/core"
-	"recipemodel/internal/recipedb"
-	"recipemodel/internal/relations"
+	"recipemodel/internal/goldmodel"
 )
-
-// goldModel builds a recipe model from a generated recipe's gold
-// annotations: one record per ingredient phrase, one event per gold
-// relation, in instruction order.
-func goldModel(r recipedb.Recipe) *core.RecipeModel {
-	m := &core.RecipeModel{Title: r.Title, Cuisine: r.Cuisine}
-	for _, p := range r.Ingredients {
-		m.Ingredients = append(m.Ingredients, core.IngredientRecord{
-			Phrase: p.Text, Name: p.Name, State: p.State, Quantity: p.Quantity, Unit: p.Unit,
-		})
-	}
-	for step, in := range r.Instructions {
-		m.Instructions = append(m.Instructions, in.Text)
-		for _, rel := range in.Relations {
-			m.Events = append(m.Events, core.Event{Step: step, Relation: relations.Relation{Process: rel.Process}})
-		}
-	}
-	return m
-}
-
-// goldCorpus generates n recipes from each source site.
-func goldCorpus(n int, seed int64) []*core.RecipeModel {
-	var out []*core.RecipeModel
-	for _, src := range []recipedb.Source{recipedb.SourceAllRecipes, recipedb.SourceFoodCom} {
-		for _, r := range recipedb.NewGenerator(src, seed).Recipes(n) {
-			out = append(out, goldModel(r))
-		}
-	}
-	return out
-}
 
 // edgeModels are hand-built documents at the boundaries of the facet
 // definitions.
@@ -70,7 +39,7 @@ func requireBitEqual(t *testing.T, a, b *core.RecipeModel, cw *CorpusWeights) {
 // bit-identical to the map-based reference on every ordered pair of a
 // learned corpus: gold recipes from both sources plus the edge docs.
 func TestWeightedScoreMatchesReference(t *testing.T) {
-	corpus := append(goldCorpus(160, 3), edgeModels()...)
+	corpus := append(goldmodel.Corpus(160, 3), edgeModels()...)
 	cw := LearnWeights(corpus)
 	if len(cw.byModel) != len(corpus) {
 		t.Fatalf("learned %d facet sets for %d models", len(cw.byModel), len(corpus))
@@ -87,7 +56,7 @@ func TestWeightedScoreMatchesReference(t *testing.T) {
 // take the map-based path, and the copies score exactly like the
 // learned originals.
 func TestWeightedScoreOutsideCorpus(t *testing.T) {
-	corpus := append(goldCorpus(40, 5), edgeModels()...)
+	corpus := append(goldmodel.Corpus(40, 5), edgeModels()...)
 	cw := LearnWeights(corpus)
 	unseen := model([]string{"Dragonfruit", "salt"}, []string{"chop", "mix"})
 	for _, c := range corpus {
@@ -109,7 +78,7 @@ func TestWeightedScoreOutsideCorpus(t *testing.T) {
 // TestWeightedScoreLearnedPairAllocs: scoring two learned models
 // allocates nothing.
 func TestWeightedScoreLearnedPairAllocs(t *testing.T) {
-	corpus := goldCorpus(20, 7)
+	corpus := goldmodel.Corpus(20, 7)
 	cw := LearnWeights(corpus)
 	a, b := corpus[0], corpus[1]
 	if n := testing.AllocsPerRun(100, func() { WeightedScore(a, b, cw, DefaultWeights) }); n != 0 {
@@ -118,9 +87,9 @@ func TestWeightedScoreLearnedPairAllocs(t *testing.T) {
 }
 
 func BenchmarkWeightedScore(b *testing.B) {
-	corpus := goldCorpus(100, 9)
+	corpus := goldmodel.Corpus(100, 9)
 	cw := LearnWeights(corpus)
-	outside := goldCorpus(1, 11)[0]
+	outside := goldmodel.Corpus(1, 11)[0]
 	for _, c := range []struct {
 		name string
 		a, b *core.RecipeModel
@@ -138,7 +107,7 @@ func BenchmarkWeightedScore(b *testing.B) {
 }
 
 func BenchmarkLearnWeights(b *testing.B) {
-	corpus := goldCorpus(2500, 13)
+	corpus := goldmodel.Corpus(2500, 13)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

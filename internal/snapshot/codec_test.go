@@ -14,47 +14,9 @@ import (
 
 	"recipemodel"
 	"recipemodel/internal/core"
-	"recipemodel/internal/recipedb"
+	"recipemodel/internal/goldmodel"
 	"recipemodel/internal/relations"
 )
-
-// goldModel builds a recipe model from a generated recipe's gold
-// annotations: every ingredient attribute, and one event per gold
-// relation with its ingredient and utensil arguments.
-func goldModel(r recipedb.Recipe) *core.RecipeModel {
-	m := &core.RecipeModel{Title: r.Title, Cuisine: r.Cuisine}
-	for _, p := range r.Ingredients {
-		m.Ingredients = append(m.Ingredients, core.IngredientRecord{
-			Phrase: p.Text, Name: p.Name, State: p.State, Quantity: p.Quantity,
-			Unit: p.Unit, Temp: p.Temp, DryFresh: p.DryFresh, Size: p.Size,
-		})
-	}
-	for step, in := range r.Instructions {
-		m.Instructions = append(m.Instructions, in.Text)
-		for k, rel := range in.Relations {
-			ev := core.Event{Step: step, Relation: relations.Relation{Process: rel.Process, ProcessIndex: k}}
-			for i, name := range rel.Ingredients {
-				ev.Ingredients = append(ev.Ingredients, relations.Argument{Text: name, Index: i})
-			}
-			for i, name := range rel.Utensils {
-				ev.Utensils = append(ev.Utensils, relations.Argument{Text: name, Index: i})
-			}
-			m.Events = append(m.Events, ev)
-		}
-	}
-	return m
-}
-
-// goldModels generates n gold recipe models from each source site.
-func goldModels(n int) []*core.RecipeModel {
-	var out []*core.RecipeModel
-	for _, src := range []recipedb.Source{recipedb.SourceAllRecipes, recipedb.SourceFoodCom} {
-		for _, r := range recipedb.NewGenerator(src, 7).Recipes(n) {
-			out = append(out, goldModel(r))
-		}
-	}
-	return out
-}
 
 // edgeModels are hand-built documents at the edges of the codec: nil
 // and empty for each of the five slice kinds, empty strings, negative
@@ -128,13 +90,13 @@ func requireModelsEqual(t *testing.T, got, want []*core.RecipeModel) {
 // and a cold load exactly, nil versus empty slices included.
 func TestBuildLoadRoundTrip(t *testing.T) {
 	edge := edgeModels()
-	gold := goldModels(segRecords/2 + 1)
+	gold := goldmodel.Corpus(segRecords/2+1, 7)
 	mixed := append(append([]*core.RecipeModel{}, edge...), gold...)
 	cases := []struct {
 		name   string
 		models []*core.RecipeModel
 	}{
-		{"gold", goldModels(150)},
+		{"gold", goldmodel.Corpus(150, 7)},
 		{"edge", edge},
 		{"1 doc", edge[len(edge)-1:]},
 		{"segRecords docs", mixed[:segRecords]},
@@ -192,7 +154,7 @@ func TestBuildIsByteDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := append(edgeModels(), goldModels(segRecords/2+10)...)
+	models := append(edgeModels(), goldmodel.Corpus(segRecords/2+10, 7)...)
 	var digests [2][]string
 	for i := range digests {
 		v, err := st.Build(models)
