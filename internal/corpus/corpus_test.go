@@ -2,6 +2,8 @@ package corpus
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"recipemodel/internal/ner"
@@ -99,5 +101,34 @@ func TestGoldAndPredict(t *testing.T) {
 	pred := Predict(tg, ss)
 	if len(pred) != 30 {
 		t.Fatal("pred length")
+	}
+}
+
+// TestIOLosslessOnGold pins the premise of training on IO labels: IO
+// cannot separate two touching spans of one type, and no gold
+// ingredient phrase or instruction step of either source holds such a
+// pair, so IO decodes every gold sentence to the spans BIO does. A
+// generator change that breaks the premise fails here rather than
+// quietly lowering F1.
+func TestIOLosslessOnGold(t *testing.T) {
+	phrases, steps := 0, 0
+	for _, src := range []recipedb.Source{recipedb.SourceAllRecipes, recipedb.SourceFoodCom} {
+		var ss []ner.Sentence
+		for _, r := range recipedb.NewGenerator(src, 9001).Recipes(3000) {
+			ss = append(ss, IngredientSentences(r.Ingredients)...)
+			ss = append(ss, InstructionSentences(r.Instructions)...)
+			phrases += len(r.Ingredients)
+			steps += len(r.Instructions)
+		}
+		for _, s := range ss {
+			n := len(s.Tokens)
+			want := ner.BIOToSpans(ner.SpansToBIO(n, s.Spans))
+			if got := ner.BIOToSpans(ner.SpansToIO(n, s.Spans)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s gold %q: IO decodes to %v, BIO to %v", src, strings.Join(s.Tokens, " "), got, want)
+			}
+		}
+	}
+	if phrases < 40000 || steps < 30000 {
+		t.Fatalf("checked %d phrases and %d steps, want at least 40,000 and 30,000", phrases, steps)
 	}
 }

@@ -53,13 +53,6 @@ const (
 	mTech
 )
 
-// BIO label kinds for compiled span decoding.
-const (
-	bioO uint8 = iota // O, empty, or malformed: closes any open span
-	bioB
-	bioI
-)
-
 // compiled is the packed form of a Tagger's extractor + decoder.
 // Immutable after build; all mutable state lives in pooled scratch.
 type compiled struct {
@@ -83,9 +76,8 @@ type compiled struct {
 	gaz   *intern.Table
 	masks []uint16
 
-	// Per-label-ID span decoding tables.
-	kind []uint8
-	typ  []string
+	// typ[id] is the entity type of IO label id: "" for O.
+	typ []string
 
 	// Word cache: every word-local feature (everything but shape=,
 	// which is case-sensitive, and the position/context features) is a
@@ -139,13 +131,19 @@ func (s *extractScratch) lemTok(i int) []byte { return s.lem[s.lemOff[i]:s.lemOf
 // compiled extractor against t.Extract on canary phrases and fails
 // (leaving the tagger on the legacy path) if they disagree — the
 // guard against compiling with a task/opts pair that doesn't match
-// how the model was trained.
+// how the model was trained. It also fails on a label that is not O
+// or I-X: the compiled span assembly reads IO labels only.
 func (t *Tagger) CompileFor(task Task, opts FeatureOptions) error {
 	if t.Model == nil {
 		return errors.New("ner: CompileFor: tagger has no model")
 	}
 	if t.Extract == nil {
 		return errors.New("ner: CompileFor: tagger has no extractor to verify against")
+	}
+	for _, l := range t.Model.Labels {
+		if !IsIOLabel(l) {
+			return fmt.Errorf("ner: CompileFor: label %q is not O or I-<type>; the compiled path decodes IO labels only", l)
+		}
 	}
 	c := newCompiled(t.Model, task, opts)
 	if err := c.verify(t.Extract); err != nil {
@@ -232,18 +230,11 @@ func newCompiled(m *crf.Model, task Task, opts FeatureOptions) *compiled {
 
 	c.buildWordCache()
 
-	// Span-decoding tables, mirroring BIOToSpans's classification.
 	labels := c.dec.Labels()
-	c.kind = make([]uint8, len(labels))
 	c.typ = make([]string, len(labels))
 	for id, lab := range labels {
-		switch {
-		case len(lab) > 2 && lab[:2] == "B-":
-			c.kind[id], c.typ[id] = bioB, lab[2:]
-		case len(lab) > 2 && lab[:2] == "I-":
-			c.kind[id], c.typ[id] = bioI, lab[2:]
-		default:
-			c.kind[id] = bioO
+		if lab != Outside {
+			c.typ[id] = lab[2:]
 		}
 	}
 	return c
@@ -601,31 +592,18 @@ func (c *compiled) appendPredict(spans []Span, tokens []string) []Span {
 	defer c.pool.Put(s)
 	c.extract(s, tokens)
 	s.path, _ = c.dec.AppendDecodeIDs(s.path[:0], s.ids, s.offs)
-	// Span assembly over label IDs, mirroring BIOToSpans (including
-	// its I-without-B repair).
+	// Span assembly over label IDs, BIOToSpans on IO labels: each run
+	// of one type is a span, closed by O or by a change of type.
 	curStart := -1
 	var curType string
 	for i := 0; i < n; i++ {
-		id := s.path[i]
-		switch c.kind[id] {
-		case bioB:
-			if curStart >= 0 {
-				spans = append(spans, Span{curStart, i, curType})
-			}
-			curStart, curType = i, c.typ[id]
-		case bioI:
-			t := c.typ[id]
-			if curStart < 0 || curType != t {
-				if curStart >= 0 {
-					spans = append(spans, Span{curStart, i, curType})
-				}
-				curStart, curType = i, t
-			}
-		default:
-			if curStart >= 0 {
-				spans = append(spans, Span{curStart, i, curType})
-				curStart = -1
-			}
+		t := c.typ[s.path[i]]
+		if curStart >= 0 && t != curType {
+			spans = append(spans, Span{curStart, i, curType})
+			curStart = -1
+		}
+		if curStart < 0 && t != "" {
+			curStart, curType = i, t
 		}
 	}
 	if curStart >= 0 {

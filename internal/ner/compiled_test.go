@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"recipemodel/internal/crf"
 )
 
 // trainedPair returns the same trained ingredient model as a compiled
@@ -135,6 +137,21 @@ func TestCompileForRejectsWrongOpts(t *testing.T) {
 	err = tg.CompileFor(TaskIngredient, FeatureOptions{Gazetteers: false, Lemmas: true})
 	if err == nil {
 		t.Fatal("CompileFor with mismatched Gazetteers option succeeded, want canary error")
+	}
+}
+
+// TestCompileForRejectsBIOLabels: the compiled span assembly reads IO
+// labels only, so a model over any other label set stays on the
+// legacy path, which decodes it through BIOToSpans.
+func TestCompileForRejectsBIOLabels(t *testing.T) {
+	m := crf.New([]string{Outside, "B-" + Name, "I-" + Name})
+	tg := FromModel(m, NewIngredientExtractor(DefaultFeatureOptions))
+	err := tg.CompileFor(TaskIngredient, DefaultFeatureOptions)
+	if err == nil || !strings.Contains(err.Error(), `"B-NAME"`) {
+		t.Fatalf("CompileFor over a BIO label set: err = %v, want one naming B-NAME", err)
+	}
+	if tg.Compiled() {
+		t.Fatal("failed CompileFor must leave the tagger on the legacy path")
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package ner provides named-entity recognition over recipe text: the
-// BIO tagging scheme, feature extractors for the ingredients section
-// (7 entity types, Table II of the paper) and the instructions section
-// (processes, utensils, ingredients, §III.A), and a trainable tagger
-// wrapping the linear-chain CRF.
+// IO tagging scheme the taggers train on (one type per token, as in
+// the paper's annotated data) and the BIO codec kept for interchange,
+// feature extractors for the ingredients section (7 entity types,
+// Table II of the paper) and the instructions section (processes,
+// utensils, ingredients, §III.A), and a trainable tagger wrapping the
+// linear-chain CRF.
 package ner
 
 import (
@@ -51,20 +53,43 @@ type Sentence struct {
 	Spans  []Span
 }
 
-// BIOLabels returns the label inventory for a set of entity types:
-// O plus B-X/I-X per type, in deterministic order.
-func BIOLabels(types []string) []string {
+// IOLabels returns the label inventory the taggers train on: O plus
+// I-X per type, in deterministic order. IO marks no span boundary, so
+// it needs one label per type where BIO needs two; the CRF's decode
+// cost grows with the label count per feature and with its square per
+// Viterbi step.
+func IOLabels(types []string) []string {
 	out := []string{Outside}
 	for _, t := range types {
-		out = append(out, "B-"+t, "I-"+t)
+		out = append(out, "I-"+t)
 	}
 	return out
+}
+
+// IsIOLabel reports whether l belongs to an IO label inventory: O, or
+// I-X with a non-empty type X.
+func IsIOLabel(l string) bool {
+	return l == Outside || (len(l) > 2 && l[:2] == "I-")
 }
 
 // SpansToBIO encodes entity spans as per-token BIO tags for a sentence
 // of n tokens. Overlapping spans are resolved in favor of the earlier,
 // longer span.
 func SpansToBIO(n int, spans []Span) []string {
+	return encodeSpans(n, spans, "B-")
+}
+
+// SpansToIO encodes entity spans as per-token IO tags: I-X on every
+// token of a span of type X, O elsewhere, with SpansToBIO's overlap
+// resolution. Two spans of one type that touch become one run of I-X,
+// which BIOToSpans decodes as a single span: IO cannot separate them.
+func SpansToIO(n int, spans []Span) []string {
+	return encodeSpans(n, spans, "I-")
+}
+
+// encodeSpans writes first+X on the first token of each kept span of
+// type X and I-X on the rest.
+func encodeSpans(n int, spans []Span, first string) []string {
 	tags := make([]string, n)
 	for i := range tags {
 		tags[i] = Outside
@@ -90,7 +115,7 @@ func SpansToBIO(n int, spans []Span) []string {
 		if !free {
 			continue
 		}
-		tags[s.Start] = "B-" + s.Type
+		tags[s.Start] = first + s.Type
 		for i := s.Start + 1; i < s.End; i++ {
 			tags[i] = "I-" + s.Type
 		}
@@ -100,7 +125,8 @@ func SpansToBIO(n int, spans []Span) []string {
 
 // BIOToSpans decodes BIO tags back into spans. Malformed I-X openings
 // (an I without a preceding B of the same type) are treated as B-X,
-// the conventional repair.
+// the conventional repair; the same rule decodes IO tags, where every
+// run of one type is a span.
 func BIOToSpans(tags []string) []Span {
 	var spans []Span
 	var cur *Span
@@ -149,21 +175,22 @@ type Tagger struct {
 // TrainConfig re-exports the CRF training knobs.
 type TrainConfig = crf.TrainConfig
 
-// Train fits a tagger for the given entity types on labeled sentences.
+// Train fits a tagger for the given entity types on labeled sentences,
+// over the IO label inventory (IOLabels, SpansToIO).
 func Train(sents []Sentence, types []string, extract Extractor, cfg TrainConfig) *Tagger {
-	labels := BIOLabels(types)
+	labels := IOLabels(types)
 	model := crf.New(labels)
 	data := make([]crf.Sequence, 0, len(sents))
 	for _, s := range sents {
 		if len(s.Tokens) == 0 {
 			continue
 		}
-		bio := SpansToBIO(len(s.Tokens), s.Spans)
+		tags := SpansToIO(len(s.Tokens), s.Spans)
 		seq := crf.Sequence{
 			Features: extractAll(extract, s.Tokens),
 			Labels:   make([]int, len(s.Tokens)),
 		}
-		for i, tag := range bio {
+		for i, tag := range tags {
 			seq.Labels[i] = model.LabelID(tag)
 		}
 		data = append(data, seq)
@@ -186,7 +213,8 @@ func FromModel(model *crf.Model, extract Extractor) *Tagger {
 	return &Tagger{Model: model, Extract: extract, labels: model.Labels}
 }
 
-// PredictTags returns the BIO tag per token.
+// PredictTags returns the label per token: O or I-X for a tagger
+// trained by Train.
 func (t *Tagger) PredictTags(tokens []string) []string {
 	if len(tokens) == 0 {
 		return nil
@@ -216,5 +244,6 @@ func (t *Tagger) AppendPredict(spans []Span, tokens []string) []Span {
 	return append(spans, BIOToSpans(t.PredictTags(tokens))...)
 }
 
-// Labels returns the tagger's BIO label inventory.
+// Labels returns the tagger's label inventory: IOLabels of its entity
+// types for a tagger trained by Train.
 func (t *Tagger) Labels() []string { return t.labels }

@@ -8,11 +8,44 @@ import (
 	"testing/quick"
 )
 
-func TestBIOLabels(t *testing.T) {
-	got := BIOLabels([]string{"NAME", "UNIT"})
-	want := []string{"O", "B-NAME", "I-NAME", "B-UNIT", "I-UNIT"}
+func TestIOLabels(t *testing.T) {
+	got := IOLabels([]string{"NAME", "UNIT"})
+	want := []string{"O", "I-NAME", "I-UNIT"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
+	}
+	for _, l := range got {
+		if !IsIOLabel(l) {
+			t.Errorf("IsIOLabel(%q) = false", l)
+		}
+	}
+	for _, l := range []string{"B-NAME", "I-", "", "NAME", "o"} {
+		if IsIOLabel(l) {
+			t.Errorf("IsIOLabel(%q) = true", l)
+		}
+	}
+}
+
+func TestSpansToIO(t *testing.T) {
+	cases := []struct {
+		n     int
+		spans []Span
+		want  []string
+	}{
+		{6, []Span{
+			{Start: 0, End: 1, Type: Quantity},
+			{Start: 1, End: 2, Type: Unit},
+			{Start: 3, End: 5, Type: Name},
+		}, []string{"I-QUANTITY", "I-UNIT", "O", "I-NAME", "I-NAME", "O"}},
+		{4, []Span{
+			{Start: 0, End: 3, Type: Name},
+			{Start: 1, End: 2, Type: Unit}, // overlaps, must lose
+		}, []string{"I-NAME", "I-NAME", "I-NAME", "O"}},
+	}
+	for _, c := range cases {
+		if got := SpansToIO(c.n, c.spans); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("SpansToIO(%d, %v) = %v, want %v", c.n, c.spans, got, c.want)
+		}
 	}
 }
 
@@ -120,6 +153,51 @@ func TestBIORoundTripProperty(t *testing.T) {
 	}
 }
 
+// Property: BIOToSpans(SpansToIO) returns any set of non-overlapping
+// in-range spans when no two spans of one type touch, and merges each
+// run of touching same-type spans into one span when they do — the
+// one case IO cannot represent.
+func TestIORoundTripProperty(t *testing.T) {
+	types := []string{Name, Unit, Quantity}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(12)
+		var spans, want []Span
+		pos := 0
+		for pos < n {
+			if rng.Float64() < 0.5 {
+				length := 1 + rng.Intn(3)
+				if pos+length > n {
+					length = n - pos
+				}
+				s := Span{Start: pos, End: pos + length, Type: types[rng.Intn(len(types))]}
+				spans = append(spans, s)
+				if last := len(want) - 1; last >= 0 && want[last].End == s.Start && want[last].Type == s.Type {
+					want[last].End = s.End
+				} else {
+					want = append(want, s)
+				}
+				pos += length
+			} else {
+				pos++
+			}
+		}
+		got := BIOToSpans(SpansToIO(n, spans))
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // tinyCorpus builds a small deterministic labeled corpus of ingredient
 // phrases for end-to-end tagger tests.
 func tinyCorpus() []Sentence {
@@ -154,6 +232,10 @@ func TestTaggerLearnsTinyCorpus(t *testing.T) {
 	corpus := tinyCorpus()
 	tg := Train(corpus, IngredientTypes, NewIngredientExtractor(DefaultFeatureOptions),
 		TrainConfig{Epochs: 8, Seed: 1})
+
+	if want := IOLabels(IngredientTypes); !reflect.DeepEqual(tg.Labels(), want) || !reflect.DeepEqual(tg.Model.Labels, want) {
+		t.Fatalf("labels %v, model labels %v, want %v", tg.Labels(), tg.Model.Labels, want)
+	}
 
 	// in-sample shape
 	spans := tg.Predict(strings.Fields("2 cups chopped flour"))

@@ -3,6 +3,9 @@ package persist
 import (
 	"bytes"
 	"encoding/gob"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"recipemodel/internal/ner"
@@ -12,8 +15,9 @@ import (
 // consistent, without training anything.
 func tinyCRF() savedCRF {
 	return savedCRF{
-		Labels:   []string{"B-NAME", "O"},
-		Emit:     map[string][]float64{"w=onion": {1.5, -0.5}},
+		Labels:   []string{"I-NAME", "O"},
+		Features: []string{"w=onion", "w=salt"},
+		Weights:  [][]float64{{1.5, -0.5}, {0.9, -0.1}},
 		Trans:    [][]float64{{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}},
 		TransEnd: []float64{0.7, 0.8},
 	}
@@ -94,14 +98,47 @@ func TestLoadBundleBadDimensions(t *testing.T) {
 		"missing bos row":  func(b *savedBundle) { b.Ingredient.CRF.Trans = b.Ingredient.CRF.Trans[:2] },
 		"ragged trans row": func(b *savedBundle) { b.Instruction.CRF.Trans[1] = []float64{1} },
 		"short trans-end":  func(b *savedBundle) { b.Instruction.CRF.TransEnd = []float64{1} },
-		"short emit vec":   func(b *savedBundle) { b.Ingredient.CRF.Emit["w=onion"] = []float64{1} },
-		"bad version":      func(b *savedBundle) { b.Version = 99 },
-		"bad task":         func(b *savedBundle) { b.Ingredient.Task = "weird" },
+		"short emit row":   func(b *savedBundle) { b.Ingredient.CRF.Weights[0] = []float64{1} },
+		"long emit row":    func(b *savedBundle) { b.Instruction.CRF.Weights[1] = []float64{1, 2, 3} },
+		"missing emit row": func(b *savedBundle) { b.Ingredient.CRF.Weights = b.Ingredient.CRF.Weights[:1] },
+		"unsorted features": func(b *savedBundle) {
+			b.Ingredient.CRF.Features = []string{"w=salt", "w=onion"}
+		},
+		"duplicate feature": func(b *savedBundle) {
+			b.Instruction.CRF.Features = []string{"w=onion", "w=onion"}
+		},
+		"B- label at the current version": func(b *savedBundle) { b.Ingredient.CRF.Labels[0] = "B-NAME" },
+		"empty I- type":                   func(b *savedBundle) { b.Instruction.CRF.Labels[0] = "I-" },
+		"bad version":                     func(b *savedBundle) { b.Version = 99 },
+		"bad task":                        func(b *savedBundle) { b.Ingredient.Task = "weird" },
 	}
 	for name, fn := range cases {
 		if _, _, err := LoadBundle(bytes.NewReader(mutateBundle(t, fn))); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+	}
+}
+
+// republishText is the command every refused pre-IO bundle names.
+const republishText = "recipemine train -store DIR (or recipemine train -o FILE for a bundle file)"
+
+// TestLoadBundleRefusesV1 pins the wire-version bump: a version-1
+// bundle, whose taggers carry BIO labels and an emission map (the
+// committed testdata/bundle-v1-bio.gob), is refused with the command
+// that republishes it, and so is a B- label at the current version.
+func TestLoadBundleRefusesV1(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "bundle-v1-bio.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = LoadBundle(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "bundle wire version 1") || !strings.Contains(err.Error(), republishText) {
+		t.Fatalf("version-1 bundle: err = %v, want the version and %q", err, republishText)
+	}
+	bio := mutateBundle(t, func(b *savedBundle) { b.Instruction.CRF.Labels[0] = "B-NAME" })
+	_, _, err = LoadBundle(bytes.NewReader(bio))
+	if err == nil || !strings.Contains(err.Error(), `"B-NAME"`) || !strings.Contains(err.Error(), republishText) {
+		t.Fatalf("B- label: err = %v, want the label and %q", err, republishText)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"sort"
 
 	"recipemodel/internal/crf"
 	"recipemodel/internal/ner"
@@ -27,10 +28,14 @@ const (
 	TaskInstruction Task = "instruction"
 )
 
-// savedCRF is the gob wire form of a CRF.
+// savedCRF is the gob wire form of a CRF. Weights[i] is the emission
+// row of Features[i]; sorting the features is what makes the same
+// weights encode to the same bytes, where a gob-encoded map would
+// follow Go's randomized map order.
 type savedCRF struct {
 	Labels   []string
-	Emit     map[string][]float64
+	Features []string
+	Weights  [][]float64
 	Trans    [][]float64
 	TransEnd []float64
 }
@@ -49,26 +54,47 @@ type savedBundle struct {
 	Instruction savedTagger
 }
 
-// wireVersion guards against stale files.
-const wireVersion = 1
+// wireVersion guards against stale files. Version 2 holds IO label
+// sets and sorted emission rows. Version 1 held BIO label sets and an
+// emission map; its Emit field matches no field here, so gob skips it
+// and the version check refuses the bundle.
+const wireVersion = 2
+
+// republish is how a refused bundle's error says to replace it.
+const republish = "republish it with: recipemine train -store DIR (or recipemine train -o FILE for a bundle file)"
 
 func toSavedCRF(m *crf.Model) savedCRF {
-	return savedCRF{
+	s := savedCRF{
 		Labels:   m.Labels,
-		Emit:     m.Emit,
+		Features: make([]string, 0, len(m.Emit)),
 		Trans:    m.Trans,
 		TransEnd: m.TransEnd,
 	}
+	for f := range m.Emit {
+		s.Features = append(s.Features, f)
+	}
+	sort.Strings(s.Features)
+	s.Weights = make([][]float64, len(s.Features))
+	for i, f := range s.Features {
+		s.Weights[i] = m.Emit[f]
+	}
+	return s
 }
 
-// validateCRF rejects wire forms whose weight tables do not match the
-// label inventory. Gob decoding alone accepts any shapes; skipping
-// this check would defer the failure to an index-out-of-range panic in
-// the middle of Viterbi on the first prediction.
+// validateCRF rejects wire forms whose labels are not an IO inventory
+// or whose weight tables do not match it. Gob decoding alone accepts
+// any shapes; skipping this check would defer the failure to an
+// index-out-of-range panic in the middle of Viterbi on the first
+// prediction.
 func validateCRF(s savedCRF) error {
 	L := len(s.Labels)
 	if L == 0 {
 		return fmt.Errorf("persist: CRF has no labels")
+	}
+	for _, l := range s.Labels {
+		if !ner.IsIOLabel(l) {
+			return fmt.Errorf("persist: CRF label %q is not O or I-<type>, and this release reads IO-labelled taggers only; %s", l, republish)
+		}
 	}
 	// Trans carries one extra row: the virtual begin-of-sequence state.
 	if len(s.Trans) != L+1 {
@@ -82,9 +108,15 @@ func validateCRF(s savedCRF) error {
 	if len(s.TransEnd) != L {
 		return fmt.Errorf("persist: CRF has %d end weights, want %d", len(s.TransEnd), L)
 	}
-	for f, w := range s.Emit {
-		if len(w) != L {
-			return fmt.Errorf("persist: feature %q has %d emission weights, want %d", f, len(w), L)
+	if len(s.Weights) != len(s.Features) {
+		return fmt.Errorf("persist: CRF has %d emission rows for %d features", len(s.Weights), len(s.Features))
+	}
+	for i, f := range s.Features {
+		if i > 0 && f <= s.Features[i-1] {
+			return fmt.Errorf("persist: feature %q out of order after %q", f, s.Features[i-1])
+		}
+		if len(s.Weights[i]) != L {
+			return fmt.Errorf("persist: feature %q has %d emission weights, want %d", f, len(s.Weights[i]), L)
 		}
 	}
 	return nil
@@ -95,7 +127,10 @@ func fromSavedCRF(s savedCRF) (*crf.Model, error) {
 		return nil, err
 	}
 	m := crf.New(s.Labels)
-	m.Emit = s.Emit
+	m.Emit = make(map[string][]float64, len(s.Features))
+	for i, f := range s.Features {
+		m.Emit[f] = s.Weights[i]
+	}
 	m.Trans = s.Trans
 	m.TransEnd = s.TransEnd
 	return m, nil
@@ -115,7 +150,7 @@ func extractorFor(task Task, opts ner.FeatureOptions) (ner.Extractor, error) {
 
 // compile installs the interned/packed fast path on a freshly loaded
 // tagger. Compilation happens on load rather than in the wire format,
-// so bundles saved by earlier versions stay format-compatible; the
+// so the bundle holds only the trained weights and their labels; the
 // compile step's canary self-check guards against a recorded task or
 // option set that no longer matches the extractor it names.
 func compile(t *ner.Tagger, task Task, opts ner.FeatureOptions) (*ner.Tagger, error) {
@@ -146,7 +181,7 @@ func LoadBundle(r io.Reader) (ingredient, instruction *ner.Tagger, err error) {
 		return nil, nil, fmt.Errorf("persist: decode bundle: %w", err)
 	}
 	if b.Version != wireVersion {
-		return nil, nil, fmt.Errorf("persist: unsupported version %d", b.Version)
+		return nil, nil, fmt.Errorf("persist: bundle wire version %d, and this release reads version %d (IO-labelled taggers) only; %s", b.Version, wireVersion, republish)
 	}
 	if ingredient, err = decodeTagger(b.Ingredient); err != nil {
 		return nil, nil, fmt.Errorf("ingredient tagger: %w", err)

@@ -11,7 +11,7 @@ import (
 	"recipemodel/internal/recipedb"
 )
 
-func trainSmall(t *testing.T) (*ner.Tagger, *ner.Tagger) {
+func trainSmall(t testing.TB) (*ner.Tagger, *ner.Tagger) {
 	t.Helper()
 	g := recipedb.NewGenerator(recipedb.SourceAllRecipes, 1)
 	ing := ner.Train(corpus.IngredientSentences(g.UniquePhrases(400)),
@@ -52,5 +52,24 @@ func TestLoadGarbage(t *testing.T) {
 func TestUnknownTask(t *testing.T) {
 	if _, err := extractorFor(Task("weird"), ner.DefaultFeatureOptions); err == nil {
 		t.Fatal("expected unknown-task error")
+	}
+}
+
+// BenchmarkLoadBundle decodes a small trained bundle: the gob decode,
+// validation and compile that a server boot runs on its model lane.
+func BenchmarkLoadBundle(b *testing.B) {
+	ing, ins := trainSmall(b)
+	var buf bytes.Buffer
+	if err := SaveBundle(&buf, ing, ins, ner.DefaultFeatureOptions); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := LoadBundle(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

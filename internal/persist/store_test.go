@@ -2,6 +2,9 @@ package persist
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -177,6 +180,42 @@ func TestStoreDetectsCorruption(t *testing.T) {
 	if !strings.Contains(msg, bundlePath) || !strings.Contains(msg, "checksum mismatch") ||
 		!strings.Contains(msg, "expects sha256") {
 		t.Fatalf("corruption error lacks path/expected-vs-found: %v", err)
+	}
+}
+
+// TestStoreRefusesV1Bundle: a store version holding a version-1 BIO
+// bundle under a valid manifest is refused on load, with an error that
+// names the bundle file and the command that republishes it.
+func TestStoreRefusesV1Bundle(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing, ins := tinyTaggers(t)
+	v, err := st.Save(ing, ins, ner.DefaultFeatureOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := os.ReadFile(filepath.Join("testdata", "bundle-v1-bio.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundlePath := filepath.Join(dir, "bundles", v, "bundle.gob")
+	sum := sha256.Sum256(v1)
+	man, err := json.Marshal(bundleManifest{Version: v, Size: int64(len(v1)), SHA256: hex.EncodeToString(sum[:])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bundlePath, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "bundles", v, "MANIFEST.json"), man, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err = st.Load()
+	if err == nil || !strings.Contains(err.Error(), bundlePath) || !strings.Contains(err.Error(), republishText) {
+		t.Fatalf("version-1 bundle in a store: err = %v, want %s and %q", err, bundlePath, republishText)
 	}
 }
 

@@ -1,6 +1,7 @@
 package recipemodel
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -132,6 +133,37 @@ func TestEndToEndOnSynthetic(t *testing.T) {
 		if len(m.Events) == 0 {
 			t.Fatalf("%s: no events", r.Title)
 		}
+	}
+}
+
+// TestSaveDeterministic: two Saves of one pipeline give the same
+// bytes, and so do two trainings with equal Options. Both run in one
+// process: gob numbers types in the order a process first encodes
+// them, so another process may write different, equally decodable
+// bytes.
+func TestSaveDeterministic(t *testing.T) {
+	save := func(p *Pipeline) []byte {
+		var buf bytes.Buffer
+		if err := p.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	p := pipe(t)
+	if !bytes.Equal(save(p), save(p)) {
+		t.Fatal("two Saves of one pipeline differ")
+	}
+	opts := Options{Seed: 5, TrainingPhrases: 300, TrainingInstructions: 150, Epochs: 2}
+	a, err := NewPipeline(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewPipeline(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(save(a), save(b)) {
+		t.Fatal("two trainings with equal Options saved different bundles")
 	}
 }
 
