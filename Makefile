@@ -69,12 +69,13 @@ bench-parallel:
 # cost. CI runs this on every push. The internal/persist benchmark
 # covers the bundle decode on every boot's model lane; the
 # internal/server benchmarks cover the annotate endpoints' cached batch
-# and single-hit response paths and the corpus build behind every boot
-# and changed-snapshot reload.
+# and single-hit response paths, the annotation cache's retained bytes
+# per entry when full, and the corpus build behind every boot and
+# changed-snapshot reload.
 bench-smoke:
 	$(GO) test . -run '^$$' -bench 'AnnotateCorpusSerial|CRFDecode|Tokenizer|POSTagger' -benchtime 1x
 	$(GO) test ./internal/ner ./internal/crf ./internal/persist ./internal/postag ./internal/tokenize ./internal/similarity ./internal/snapshot ./internal/index -run '^$$' -bench . -benchtime 1x
-	$(GO) test ./internal/server -run '^$$' -bench 'BatchHeavyTailCached|AnnotateHotHitCached|NewCorpusState' -benchtime 1x
+	$(GO) test ./internal/server -run '^$$' -bench 'BatchHeavyTailCached|AnnotateHotHitCached|CacheFootprint|NewCorpusState' -benchtime 1x
 
 # CPU + heap profile of an end-to-end mining run (train + mine). Open
 # with: go tool pprof cpu.prof (or mem.prof). See README "Profiling".

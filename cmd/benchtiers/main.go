@@ -3,7 +3,7 @@
 // against the same gold ingredient corpus, reporting per-tier entity
 // F1 (micro and per type) and decode throughput. The numbers quantify
 // the degradation ladder's middle rung: what accuracy a client gives
-// up, and what latency it gains, when the breaker routes a request to
+// up, and what each decode costs, when the breaker routes a request to
 // the rules tier because the CRF tier is unhealthy.
 //
 // Usage:
@@ -17,7 +17,9 @@
 // side of this report is directly comparable to Table IV. Throughput
 // is measured over repeated full passes of the held-out test set on a
 // single goroutine — the per-decode cost a saturated server pays, not
-// a parallel-scaling claim.
+// a parallel-scaling claim. The CRF tagger is compiled, as every
+// served tagger is, so its throughput is that of the path the server
+// runs.
 package main
 
 import (
@@ -115,6 +117,11 @@ func run(args []string, stdout io.Writer) error {
 	model := ner.Train(train, ner.IngredientTypes,
 		ner.NewIngredientExtractor(ner.DefaultFeatureOptions),
 		ner.TrainConfig{Epochs: *epochs, Seed: *seed + 30, Method: "sgd"})
+	// The compiled decode is byte-identical to the map path, so only
+	// the throughput differs from an uncompiled run.
+	if err := model.CompileFor(ner.TaskIngredient, ner.DefaultFeatureOptions); err != nil {
+		return err
+	}
 	rt := rules.New()
 
 	// The rules tier tags lower-cased words (the server lower-cases
@@ -161,7 +168,7 @@ func run(args []string, stdout io.Writer) error {
 	rep.Summary.SpeedRatio = fmt.Sprintf("rules %.0f vs crf %.0f phrases/sec (%.1fx)",
 		rl.PhrasesPerSec, crf.PhrasesPerSec, rl.PhrasesPerSec/crf.PhrasesPerSec)
 	rep.Summary.Interpreting = "the gap is the accuracy cost of a breaker-routed rules answer; " +
-		"the ratio is why the rules tier can absorb a herd the CRF tier cannot"
+		"the ratio compares its per-decode cost with the served, compiled CRF tier's"
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

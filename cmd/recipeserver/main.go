@@ -209,10 +209,15 @@ func loadPipeline(modelPath, storePath string, corpusSize int, opts recipemodel.
 	return p, ix, nil
 }
 
-// defaultCacheEntries bounds the annotation cache out of the box: at
-// ~200 bytes per cached record, 64k entries is on the order of 15 MB
-// — big enough that a heavy-tail phrase distribution lives entirely
-// in cache, small enough to be irrelevant next to the model itself.
+// defaultCacheEntries bounds the annotation cache out of the box: big
+// enough that a heavy-tail phrase distribution lives entirely in
+// cache. A full cache retains about 193 bytes per entry (the LRU
+// entry, its map slot, the key and the packed record; measured by
+// BenchmarkCacheFootprint in internal/server), 12.6 MB of live heap at
+// 64k entries. The collector lets the heap grow to about twice what is
+// live, so on the batch-corpus benchmark, which fills the cache, it
+// adds about 23 MB to peak RSS: 106 MB against 82 MB with
+// -cache-entries 0, a fifth of the server's peak.
 const defaultCacheEntries = 64 << 10
 
 // cacheConfigLine is the startup log line stating the cache posture,

@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"recipemodel/internal/core"
 )
 
 // discardWriter is a reusable http.ResponseWriter that keeps the
@@ -90,5 +92,15 @@ func TestAnnotateHitAllocCap(t *testing.T) {
 				t.Fatalf("%s allocates %.0f/request, cap %.0f", tc.name, got, tc.cap)
 			}
 		})
+	}
+}
+
+// TestCachedRecordAllocs: a cache Put packs a record's fields with one
+// allocation. A hit's unpack allocates nothing, which
+// TestAnnotateHitAllocCap's caps pin.
+func TestCachedRecordAllocs(t *testing.T) {
+	rec := core.IngredientRecord{Phrase: "2 cups chopped onion", Name: "onion", State: "chopped", Quantity: "2", Unit: "cups"}
+	if n := testing.AllocsPerRun(100, func() { _ = packRecord(&rec) }); n != 1 {
+		t.Errorf("packRecord: %.0f allocs, want 1", n)
 	}
 }

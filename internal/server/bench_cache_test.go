@@ -2,9 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -15,6 +17,7 @@ import (
 	"recipemodel"
 	"recipemodel/internal/core"
 	"recipemodel/internal/quarantine"
+	"recipemodel/internal/recipedb"
 )
 
 // benchAdapter bridges the public trained Pipeline to the server's
@@ -232,4 +235,90 @@ func BenchmarkDegradedHitServing(b *testing.B) {
 	if s.degradedHits.Load() == 0 {
 		b.Fatal("no degraded hits recorded")
 	}
+}
+
+// footprintLines returns n recipe ingredient lines with pairwise
+// distinct cache keys, drawn as the batch-corpus benchmark stream draws
+// its lines: whole recipes alternating the two source styles
+// (generator seeds 77 and 78).
+func footprintLines(b *testing.B, n int) []string {
+	b.Helper()
+	gens := []*recipedb.Generator{
+		recipedb.NewGenerator(recipedb.SourceAllRecipes, 77),
+		recipedb.NewGenerator(recipedb.SourceFoodCom, 78),
+	}
+	seen := make(map[string]bool, n)
+	out := make([]string, 0, n)
+	for r := 0; len(out) < n; r++ {
+		if r > n {
+			b.Fatalf("%d recipes yielded only %d distinct lines of %d", r, len(out), n)
+		}
+		for _, ing := range gens[r%2].Recipe().Ingredients {
+			key, err := core.CanonicalKey(ing.Text)
+			if err != nil || seen[key] || len(out) == n {
+				continue
+			}
+			seen[key] = true
+			out = append(out, ing.Text)
+		}
+	}
+	return out
+}
+
+// liveHeap returns the bytes of live heap objects. The second GC
+// empties the sync.Pool victim caches the first one only demotes, so
+// pooled decode scratch does not count as retained.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// BenchmarkCacheFootprint measures what the annotation cache holds per
+// entry at the default size. It fills a 65,536-entry server cache
+// through /annotate/batch with 81,920 distinct generator lines (the
+// batch-corpus stream length, enough that every shard reaches its
+// bound) decoded by the trained pipeline, so every record is built by
+// core.RecordFromSpans as a served one is, and reports the live heap
+// the filled server adds, per cached entry (B/entry).
+func BenchmarkCacheFootprint(b *testing.B) {
+	const entries, batch = 64 << 10, 256
+	pipe := trainedPipe(b)
+	lines := footprintLines(b, 81920)
+	bodies := make([]string, 0, len(lines)/batch)
+	for at := 0; at < len(lines); at += batch {
+		body, err := json.Marshal(map[string][]string{"phrases": lines[at : at+batch]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, string(body))
+	}
+	fill := func(s *Server, bodies []string) {
+		for _, body := range bodies {
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/annotate/batch", strings.NewReader(body)))
+			if w.Code != http.StatusOK {
+				b.Fatalf("batch = %d %.200s", w.Code, w.Body.String())
+			}
+		}
+	}
+	// One batch through a throwaway server first, so the decode path's
+	// pools and lazily built tables exist before the first measurement.
+	fill(NewWithConfig(pipe, nil, Config{CacheEntries: entries}), bodies[:1])
+	var perEntry float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		before := liveHeap()
+		s := NewWithConfig(pipe, nil, Config{CacheEntries: entries})
+		fill(s, bodies)
+		retained := liveHeap() - before
+		if n := s.cache.Len(); n != entries {
+			b.Fatalf("cache holds %d entries after the fill, want %d", n, entries)
+		}
+		perEntry = float64(retained) / entries
+		runtime.KeepAlive(s)
+	}
+	b.ReportMetric(perEntry, "B/entry")
 }

@@ -128,6 +128,55 @@ func TestCacheHitSkipsDecode(t *testing.T) {
 	}
 }
 
+// TestCacheHitEchoesRequestPhrase: a hit answers with the raw phrase
+// of the request that hit, never the one that filled the entry. The
+// entry is filled with one byte variant of a phrase and hit with the
+// other (a space against an NBSP: one canonical key), in both orders
+// and across every pair of /annotate and /annotate/batch.
+func TestCacheHitEchoesRequestPhrase(t *testing.T) {
+	const space, nbsp = "2 cups onion", "2 cups\u00a0onion"
+	served := func(t *testing.T, s *Server, path, phrase string) core.IngredientRecord {
+		t.Helper()
+		if path == "/annotate" {
+			w := do(t, s, http.MethodPost, path, annotateBody(phrase))
+			var rec core.IngredientRecord
+			if w.Code != 200 || json.Unmarshal(w.Body.Bytes(), &rec) != nil {
+				t.Fatalf("%s %q = %d %s", path, phrase, w.Code, w.Body.String())
+			}
+			return rec
+		}
+		body, _ := json.Marshal(map[string][]string{"phrases": {phrase}})
+		w := do(t, s, http.MethodPost, path, string(body))
+		resp := decodeBatch(t, w)
+		if w.Code != 200 || len(resp.Results) != 1 || resp.Results[0].Record == nil {
+			t.Fatalf("%s %q = %d %s", path, phrase, w.Code, w.Body.String())
+		}
+		return *resp.Results[0].Record
+	}
+	for _, fillPath := range []string{"/annotate", "/annotate/batch"} {
+		for _, hitPath := range []string{"/annotate", "/annotate/batch"} {
+			for _, pair := range [][2]string{{space, nbsp}, {nbsp, space}} {
+				fill, hit := pair[0], pair[1]
+				t.Run(fmt.Sprintf("%s %+q then %s %+q", fillPath, fill, hitPath, hit), func(t *testing.T) {
+					pipe := &countingPipe{tag: "v1"}
+					s := NewWithConfig(pipe, nil, Config{CacheEntries: 128})
+					s.SetReady(true)
+					filled := served(t, s, fillPath, fill)
+					got := served(t, s, hitPath, hit)
+					if n := pipe.decodes.Load(); n != 1 {
+						t.Fatalf("decodes = %d, want 1 (the second request must hit)", n)
+					}
+					want := filled
+					want.Phrase = hit
+					if got != want {
+						t.Fatalf("hit served %+v, want %+v", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestCacheOffDecodesEveryRequest: CacheEntries 0 turns the memo off
 // — sequential identical requests each decode — and /readyz reports
 // the cache disabled.

@@ -210,9 +210,10 @@ type Server struct {
 	// /readyz so operators can alert on poison-input rates by code.
 	quarantined quarantine.Counters
 	// cache memoizes successful ingredient decodes keyed on canonical
-	// phrase bytes; nil when Config.CacheEntries is 0, which every
-	// lookup reads as a miss and every store ignores.
-	cache *cache.Cache[core.IngredientRecord]
+	// phrase bytes, each as one packed cachedRecord (cached.go); nil
+	// when Config.CacheEntries is 0, which every lookup reads as a miss
+	// and every store ignores.
+	cache *cache.Cache[cachedRecord]
 	// flights coalesces concurrent uncached decodes of one phrase so a
 	// thundering herd costs a single decode. Keys carry the generation,
 	// so a reload mid-herd starts fresh flights for the new model.
@@ -270,7 +271,7 @@ func NewWithConfig(pipe Pipeline, ix *index.Index, cfg Config) *Server {
 		ix:        ix,
 		limiter:   resilience.NewLimiter(cfg.MaxInFlight),
 		cfg:       cfg,
-		cache:     cache.New[core.IngredientRecord](cfg.CacheEntries),
+		cache:     cache.New[cachedRecord](cfg.CacheEntries),
 	}
 	if cfg.Rules != nil {
 		s.brk = breaker.New(cfg.Breaker)
@@ -720,11 +721,11 @@ func (s *Server) annotate(w http.ResponseWriter, r *http.Request, phrase string)
 	st := s.state()
 	key, kerr := core.CanonicalKey(phrase)
 	if kerr == nil {
-		if rec, ok := s.cache.Get(key, st.gen); ok {
+		if c, ok := s.cache.Get(key, st.gen); ok {
 			if s.limiter.Saturated() {
 				s.degradedHits.Add(1)
 			}
-			rec.Phrase = phrase
+			rec := c.record(phrase)
 			writeRecord(w, &rec, false)
 			return
 		}
@@ -742,8 +743,8 @@ func (s *Server) annotate(w http.ResponseWriter, r *http.Request, phrase string)
 		// entry here instead of decoding again — what makes "one herd,
 		// one decode" exact rather than probabilistic.
 		if kerr == nil {
-			if rec, ok := s.cache.Get(key, st.gen); ok {
-				return rec, nil
+			if c, ok := s.cache.Get(key, st.gen); ok {
+				return c.record(phrase), nil
 			}
 		}
 		// The breaker ticket is leader-only: waiters coalesced behind
@@ -765,7 +766,7 @@ func (s *Server) annotate(w http.ResponseWriter, r *http.Request, phrase string)
 			return core.IngredientRecord{}, err
 		}
 		if kerr == nil {
-			s.cache.Put(key, st.gen, rec)
+			s.cache.Put(key, st.gen, packRecord(&rec))
 		}
 		s.maybeAudit(phrase, rec)
 		return rec, nil
@@ -850,9 +851,8 @@ func (s *Server) annotateBatch(w http.ResponseWriter, r *http.Request, phrases [
 			continue // decodes (and rejects) below
 		}
 		keys[i], keyOK[i] = key, true
-		if rec, ok := s.cache.Get(key, st.gen); ok {
-			rec.Phrase = p
-			recs[i] = rec
+		if c, ok := s.cache.Get(key, st.gen); ok {
+			recs[i] = c.record(p)
 			done[i] = true
 			hits++
 		}
@@ -917,7 +917,7 @@ func (s *Server) annotateBatch(w http.ResponseWriter, r *http.Request, phrases [
 		}
 		for j := range missPhrases {
 			if _, bad := rejected[j]; !bad && missKeyOK[j] {
-				s.cache.Put(missKeys[j], st.gen, mrecs[j])
+				s.cache.Put(missKeys[j], st.gen, packRecord(&mrecs[j]))
 			}
 		}
 		// Expand the deduplicated results back onto every slot. A
