@@ -71,10 +71,11 @@ bench-parallel:
 # internal/server benchmarks cover the annotate endpoints' cached batch
 # and single-hit response paths, the annotation cache's retained bytes
 # per entry when full, and the corpus build behind every boot and
-# changed-snapshot reload.
+# changed-snapshot reload. The internal/cache benchmarks cover the
+# annotation cache's evicting-churn and hot-hit paths.
 bench-smoke:
 	$(GO) test . -run '^$$' -bench 'AnnotateCorpusSerial|CRFDecode|Tokenizer|POSTagger' -benchtime 1x
-	$(GO) test ./internal/ner ./internal/crf ./internal/persist ./internal/postag ./internal/tokenize ./internal/similarity ./internal/snapshot ./internal/index -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/ner ./internal/crf ./internal/persist ./internal/postag ./internal/tokenize ./internal/similarity ./internal/snapshot ./internal/index ./internal/cache -run '^$$' -bench . -benchtime 1x
 	$(GO) test ./internal/server -run '^$$' -bench 'BatchHeavyTailCached|AnnotateHotHitCached|CacheFootprint|NewCorpusState' -benchtime 1x
 
 # CPU + heap profile of an end-to-end mining run (train + mine). Open
@@ -142,9 +143,10 @@ query-chaos-test:
 # Short fuzz passes over the model-load boundary, the end-to-end
 # annotate path (arbitrary bytes through sanitizer, tagger, parser),
 # the snapshot manifest/segment loader, the snapshot segment decoder
-# with its warm-reuse path, and the annotate response writer's string
-# escaping against encoding/json — enough to catch a hardening
-# regression in CI without a long budget.
+# with its warm-reuse path, the annotate response writer's string
+# escaping against encoding/json, and the annotation cache's slab
+# against a reference LRU under arbitrary operation streams — enough
+# to catch a hardening regression in CI without a long budget.
 fuzz-smoke:
 	$(GO) test ./internal/persist -run '^$$' -fuzz 'FuzzLoadBundle' -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz 'FuzzAnnotateIngredient' -fuzztime 15s
@@ -152,6 +154,7 @@ fuzz-smoke:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz 'FuzzLoadSnapshot' -fuzztime 15s
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz 'FuzzLoadSegment' -fuzztime 15s
 	$(GO) test ./internal/server -run '^$$' -fuzz 'FuzzAppendJSONString' -fuzztime 15s
+	$(GO) test ./internal/cache -run '^$$' -fuzz 'FuzzCacheOps' -fuzztime 15s
 
 # Rules-tier vs CRF-tier score card (DESIGN §15/§16): per-tier entity
 # F1 and single-goroutine phrases/sec on the shared gold ingredient

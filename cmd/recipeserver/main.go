@@ -211,13 +211,16 @@ func loadPipeline(modelPath, storePath string, corpusSize int, opts recipemodel.
 
 // defaultCacheEntries bounds the annotation cache out of the box: big
 // enough that a heavy-tail phrase distribution lives entirely in
-// cache. A full cache retains about 193 bytes per entry (the LRU
-// entry, its map slot, the key and the packed record; measured by
-// BenchmarkCacheFootprint in internal/server), 12.6 MB of live heap at
-// 64k entries. The collector lets the heap grow to about twice what is
-// live, so on the batch-corpus benchmark, which fills the cache, it
-// adds about 23 MB to peak RSS: 106 MB against 82 MB with
-// -cache-entries 0, a fifth of the server's peak.
+// cache. A full cache retains about 156 bytes per entry (the 80-byte
+// slab slot, 16 bytes of index at half load, the key and the packed
+// record; measured by BenchmarkCacheFootprint in internal/server),
+// 10.2 MB of live heap at 64k entries. The collector lets the heap
+// grow to about twice what is live, so on the batch-corpus benchmark,
+// which fills the cache, it adds about 17 MB to peak RSS: 101 MB
+// against 84 MB with -cache-entries 0, a sixth of the server's peak.
+// There, at a 17% hit ratio, the memo breaks even on CPU: 1,857
+// against 1,917 µs per request with it off, each side ahead in 5 of 10
+// alternating pairs.
 const defaultCacheEntries = 64 << 10
 
 // cacheConfigLine is the startup log line stating the cache posture,

@@ -60,19 +60,25 @@ func TestPutReplacesAcrossGenerations(t *testing.T) {
 	}
 }
 
+// sameShardKeys returns n distinct keys that hash to the shard of
+// "seed".
+func sameShardKeys(n int) []string {
+	target := hashKey("seed") % numShards
+	keys := make([]string, 0, n)
+	for i := 0; len(keys) < n; i++ {
+		if k := fmt.Sprintf("key-%d", i); hashKey(k)%numShards == target {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 // TestLRUEviction: filling one shard past its bound drops the least
 // recently used key. Keys are forced onto one shard by probing.
 func TestLRUEviction(t *testing.T) {
 	// capacity 16 → 1 entry per shard; find three keys on one shard.
 	c := New[int](16)
-	target := c.shardFor("seed")
-	keys := make([]string, 0, 3)
-	for i := 0; len(keys) < 3; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if c.shardFor(k) == target {
-			keys = append(keys, k)
-		}
-	}
+	keys := sameShardKeys(3)
 	c.Put(keys[0], 1, 0)
 	c.Put(keys[1], 1, 1) // evicts keys[0] (shard bound is 1)
 	if _, ok := c.Get(keys[0], 1); ok {
@@ -90,14 +96,7 @@ func TestLRUEviction(t *testing.T) {
 // is the one evicted.
 func TestLRURecencyOrder(t *testing.T) {
 	c := New[int](32) // 2 per shard
-	target := c.shardFor("seed")
-	keys := make([]string, 0, 3)
-	for i := 0; len(keys) < 3; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if c.shardFor(k) == target {
-			keys = append(keys, k)
-		}
-	}
+	keys := sameShardKeys(3)
 	c.Put(keys[0], 1, 0)
 	c.Put(keys[1], 1, 1)
 	if _, ok := c.Get(keys[0], 1); !ok { // refresh keys[0]
